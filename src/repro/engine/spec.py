@@ -18,7 +18,9 @@ paper's distributions are consumed across the codebase:
 * ``quantile(v, u)`` — inverse-CDF at a uniform (scalar simulators and
   the shared-uniform grand coupling of :mod:`repro.coupling.grand`);
 * ``quantile_batch(V, u)`` — the same inversion over an (R, n) matrix
-  of replicas at once (the vectorized engine).
+  of replicas at once (the vectorized engine), and
+  ``quantile_batch_into``, the same indices found by whole-fleet
+  binary searches for the batched kernels.
 
 :class:`BallRemoval` is 𝒜(v) (Definition 3.2), :class:`BinRemoval` is
 ℬ(v) (Definition 3.3), and :class:`WeightedRemoval` is the §7
@@ -184,19 +186,25 @@ class RemovalLaw(ABC):
         raise NotImplementedError(f"{self.name} has no vectorized quantile")
 
     def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+        self,
+        V: np.ndarray,
+        u: np.ndarray,
+        fleet,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Allocation-free ``quantile_batch`` for the batched hot loop.
+        """``quantile_batch`` for the batched hot loop, searching the whole fleet.
 
-        *csum* is an (R, n) integer scratch (wide enough to hold a row
-        cumsum) and *buf* an (R, n) bool scratch, both owned by the
-        caller and reused across steps.  Must return exactly the indices
-        of :meth:`quantile_batch` — the differential harness pins the
+        Returns ``quantile_batch(V[rows], u)`` (``rows`` None: every
+        row) without copying rows out of *V*.  *fleet* is the caller's
+        :class:`~repro.engine.vectorized.FleetSearch` scratch for *V*:
+        its flat cumsum buffer, and its search key, which must be
+        current.  Must return exactly the indices of
+        :meth:`quantile_batch` — the differential harness pins the
         batched path to the unbatched one bitwise, so implementations
-        may only change *where* intermediates live, never their values.
+        may only change *how* the indices are found, never their values.
         The base class falls back to the allocating path.
         """
-        return self.quantile_batch(V, u)
+        return self.quantile_batch(V if rows is None else V[rows], u)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -222,20 +230,26 @@ class BallRemoval(RemovalLaw):
         return (csum <= targets[:, None]).sum(axis=1)
 
     def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+        self,
+        V: np.ndarray,
+        u: np.ndarray,
+        fleet,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        # Same inversion with the cumsum landing in caller scratch; m is
-        # read off the cumsum's last column instead of a second O(R·n)
-        # sum pass, and the comparison-count #{csum <= target} becomes a
-        # per-row binary search on the (ascending) cumsum — exact
-        # integer comparisons, so bitwise the quantile_batch indices.
-        np.cumsum(V, axis=1, dtype=csum.dtype, out=csum)
-        m = csum[:, -1]
+        # Same inversion over one flat fleet cumsum (leading 0): row r's
+        # balls are csum[r·n] (= lo) up to csum[r·n + n], so ball ⌊u·m⌋
+        # of row r is one search for lo + target, which cannot leave
+        # row r.  One searchsorted call serves every row; the float
+        # product u·m is quantile_batch's, so the indices are bitwise.
+        csum = fleet.cumsum(V)
+        first = fleet.first(rows)
+        lo = csum[first]
+        m = csum[first + V.shape[1]] - lo
         targets = np.minimum((u * m).astype(np.int64), m - 1)
-        out = np.empty(len(targets), dtype=np.int64)
-        for r in range(len(targets)):
-            out[r] = np.searchsorted(csum[r], targets[r], side="right")
-        return out
+        hit = np.searchsorted(
+            csum, np.add(lo, targets, dtype=csum.dtype), side="right"
+        )
+        return hit - 1 - first
 
 
 class BinRemoval(RemovalLaw):
@@ -255,14 +269,16 @@ class BinRemoval(RemovalLaw):
         return np.minimum((u * s).astype(np.int64), s - 1)
 
     def quantile_batch_into(
-        self, V: np.ndarray, u: np.ndarray, csum: np.ndarray, buf: np.ndarray
+        self,
+        V: np.ndarray,
+        u: np.ndarray,
+        fleet,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        # Rows are descending, so s = #{> 0} is a per-row binary search
-        # on the reversed view — no O(R·n) mask pass, no cumsum.
-        n = V.shape[1]
-        s = np.empty(V.shape[0], dtype=np.int64)
-        for r in range(V.shape[0]):
-            s[r] = n - np.searchsorted(V[r, ::-1], 0, side="right")
+        # s = #{V ≥ 1} for every row is one search over the fleet key —
+        # no O(R·n) mask or count pass.
+        first = fleet.first(rows)
+        s = np.searchsorted(fleet.key, fleet.needles(rows, 1), side="right") - first
         return np.minimum((u * s).astype(np.int64), s - 1)
 
 

@@ -10,7 +10,14 @@ by a wide margin for the R ~ 10²–10⁴ used in experiments.
 
 The Fact 3.2 updates vectorize through counting comparisons: in a
 descending row, the *first* index of the value-v run is ``#{entries >
-v}`` and the *last* is ``#{entries ≥ v} − 1``.
+v}`` and the *last* is ``#{entries ≥ v} − 1``.  The per-step path
+(:meth:`VectorizedProcess.step`) counts with O(R·n) comparison scans;
+the batched kernels (:meth:`VectorizedProcess.run_batched`) answer the
+same counts for every row at once with one binary search over a flat
+ascending key of the whole fleet (:class:`FleetSearch`), which lands
+on the flat position of each edit directly.  The two paths share no
+search code, so the scan path stays an independent oracle for the
+differential harness.
 
 What vectorizes — and what cannot:
 
@@ -57,21 +64,75 @@ from repro.utils.validation import check_positive_int
 __all__ = ["VectorizedProcess", "VectorizedEngine"]
 
 
-def _counts_desc(V: np.ndarray, vals: np.ndarray, side: str) -> np.ndarray:
-    """Per-row ``#{j : V[r, j] >= vals[r]}`` (``'left'``) or ``> `` (``'right'``).
+class FleetSearch:
+    """Scratch for whole-fleet binary searches over a descending (R, n) fleet.
 
-    Rows of *V* are descending (the engine invariant), so each count is
-    a binary search on the reversed-ascending view instead of an O(n)
-    comparison scan: for ascending ``a``, ``searchsorted(a, x, 'left')``
-    is ``#{a < x}`` and ``'right'`` is ``#{a <= x}`` — the complements
-    are exactly the Fact 3.2 run-boundary counts.  Integer comparisons,
-    so the result is bitwise identical to the scan it replaces.
+    ``key`` is the flat key ``key[r·n + j] = r·B − V[r, j]``.  Rows are
+    descending, so each row's block ascends; with every load in
+    ``[0, B)`` row r's block lies in ``(r·B − B, r·B]``, below every
+    later row's, so the whole key ascends.  A search for ``r·B − x``
+    therefore stays inside row r, and one ``searchsorted`` call answers
+    a Fact 3.2 count for any set of rows at once (:func:`_counts_desc`).
+    The kernels keep ``key`` in step with each ±1 edit in O(R) and
+    rebuild it once per segment (:meth:`rekey`).
+
+    :meth:`cumsum` fills a flat fleet cumsum with a leading 0
+    (``csum[k] = Σ_{i<k} V.flat[i]``); loads are ≥ 0, so it is
+    non-decreasing and the ball-removal inversion searches it the same
+    way (:meth:`BallRemoval.quantile_batch_into`).
+
+    Both arrays are int32 iff ``R·(bound + 1) < 2³¹`` and int64
+    otherwise, where *bound* caps every row sum (None: no cap).  Every
+    needle is cast to that dtype (:meth:`needles`): numpy would
+    otherwise upcast a whole int32 haystack for an int64 needle on
+    every call.
     """
-    n = V.shape[1]
-    out = np.empty(V.shape[0], dtype=np.int64)
-    for r in range(V.shape[0]):
-        out[r] = n - np.searchsorted(V[r, ::-1], vals[r], side=side)
-    return out
+
+    def __init__(self, R: int, n: int, bound: int | None):
+        wide = bound is None or R * (bound + 1) >= 2**31
+        self.dtype = np.dtype(np.int64 if wide else np.int32)
+        #: Flat index of each row's bin 0.
+        self.start = np.arange(R) * n
+        self.key = np.empty(R * n, dtype=self.dtype)
+        self.offset = np.zeros(R, dtype=self.dtype)
+        self._csum: np.ndarray | None = None
+
+    def rekey(self, V: np.ndarray, B: int) -> None:
+        """Rebuild ``key`` from *V*; loads must stay below *B* until the next rekey."""
+        self.offset = np.arange(V.shape[0], dtype=self.dtype) * B
+        np.subtract(self.offset[:, None], V, out=self.key.reshape(V.shape))
+
+    def first(self, rows: np.ndarray | None) -> np.ndarray:
+        """Flat index of bin 0 of each of *rows* (None: every row)."""
+        return self.start if rows is None else self.start[rows]
+
+    def needles(self, rows: np.ndarray | None, vals) -> np.ndarray:
+        """Key values ``r·B − vals`` of *rows*, in the key's dtype."""
+        off = self.offset if rows is None else self.offset[rows]
+        return np.subtract(off, vals, dtype=self.dtype)
+
+    def cumsum(self, V: np.ndarray) -> np.ndarray:
+        """The flat fleet cumsum with a leading 0 (allocated on first use)."""
+        if self._csum is None:
+            self._csum = np.zeros(V.size + 1, dtype=self.dtype)
+        np.cumsum(V.reshape(-1), dtype=self.dtype, out=self._csum[1:])
+        return self._csum
+
+
+def _counts_desc(
+    fleet: FleetSearch, rows: np.ndarray | None, vals, side: str
+) -> np.ndarray:
+    """Flat ``r·n + #{j : V[r, j] ≥ vals}`` (``'right'``) or ``> vals`` (``'left'``).
+
+    One binary search over ``fleet.key`` for every row r of *rows*
+    (None: every row) at once.  ``key ≤ r·B − x`` iff ``V ≥ x`` inside
+    row r, and every earlier row's keys lie below the needle, so the
+    ⊖ edit (last index of the value-x run) is the ``'right'`` result −
+    1 and the ⊕ edit (first index) is the ``'left'`` result itself.
+    Integer comparisons, so the positions are bitwise those of the
+    per-step comparison scans.
+    """
+    return np.searchsorted(fleet.key, fleet.needles(rows, vals), side=side)
 
 
 class VectorizedProcess:
@@ -99,6 +160,7 @@ class VectorizedProcess:
         self._m = int(start.m)
         if spec.kind == "closed" and self._m < 1:
             raise ValueError("need at least one ball")
+        self._check_rows(start.loads[None, :])
         self._R = replicas
         self._n = start.n
         self._rows = np.arange(replicas)
@@ -221,13 +283,20 @@ class VectorizedProcess:
         s = nonempty.sum(axis=1)
         np.subtract(V, 1, out=V, where=nonempty)
         total = int(s.sum())
+        # The row offsets go into the quantile's fresh index array and the
+        # re-sort runs in place: with two or three more fleet-sized
+        # temporaries per step, glibc trims and re-faults heap pages on
+        # every step (~150k minor faults in one campaign_rbb run instead
+        # of a few hundred).
         if total > 0:
-            idx = self._insertion_indices(self._rng.random(total))
-            flat = np.repeat(self._rows, s) * self._n + idx
+            flat = self._insertion_indices(self._rng.random(total))
+            flat += np.repeat(self._rows * self._n, s)
             V += np.bincount(flat, minlength=self._R * self._n).reshape(
                 self._R, self._n
             )
-        V[:] = -np.sort(-V, axis=1)
+        np.negative(V, out=V)
+        V.sort(axis=1)
+        np.negative(V, out=V)
 
     def _step_closed(self) -> None:
         rng = self._rng
@@ -250,21 +319,13 @@ class VectorizedProcess:
                 self._increment(sel, target[sel])
                 self.relocations += int(sel.size)
 
-    def _step_open(self, u: np.ndarray | None = None) -> None:
+    def _step_open(self) -> None:
         # Fair coin per replica; removal on the empty state and
         # insertion at the cap are row-wise no-ops (§7 semantics).
-        # *u* is an optional pre-drawn (3, R) uniform slab — the batched
-        # path draws the whole segment's stream in one RNG call, which
-        # is bitwise identical to the three sequential draws below.
-        if u is None:
-            rng = self._rng
-            coin = rng.random(self._R) < 0.5
-            u_rm = rng.random(self._R)
-            u_in = rng.random(self._R)
-        else:
-            coin = u[0] < 0.5
-            u_rm = u[1]
-            u_in = u[2]
+        rng = self._rng
+        coin = rng.random(self._R) < 0.5
+        u_rm = rng.random(self._R)
+        u_in = rng.random(self._R)
         counts = self._V.sum(axis=1)
         rm_rows = np.nonzero(coin & (counts > 0))[0]
         if rm_rows.size:
@@ -284,27 +345,28 @@ class VectorizedProcess:
         """One-time setup for the batched fast path.
 
         Narrows the load matrix to int32 when the ball-count bound
-        proves every load (and every row cumsum) fits — halving the
-        memory traffic of the comparison passes that dominate at paper
-        scale — and allocates the per-fleet scratch buffers the fused
-        kernels write into, so the hot loop allocates no (R, n)
-        intermediates at all.  Loads are identical integers in either
-        width, so downstream arithmetic (always at least int64/float64)
-        is value-identical; :meth:`state_dict` re-canonicalizes to
-        int64, keeping checkpoints interchangeable with the unbatched
-        path.
+        proves every load fits — halving the memory traffic of the
+        whole-fleet passes that dominate at paper scale — and, for the
+        sequential shapes, allocates the :class:`FleetSearch` scratch
+        the fused kernels search and write into, so the hot loop
+        allocates no (R, n) intermediates at all.  Loads are identical
+        integers in either width, so downstream arithmetic (always at
+        least int64/float64) is value-identical; :meth:`state_dict`
+        re-canonicalizes to int64, keeping checkpoints interchangeable
+        with the unbatched path.
         """
         if getattr(self, "_batch_ready", False):
             return
-        if self.spec.kind == "closed":
-            bound = self._m
-        else:
-            bound = self.spec.max_balls  # None = unbounded: stay int64
+        bound = self._bound()
         if bound is not None and bound < np.iinfo(np.int32).max:
             self._V = np.ascontiguousarray(self._V, dtype=np.int32)
-        self._csum = np.empty((self._R, self._n), dtype=self._V.dtype)
-        self._bool_buf = np.empty((self._R, self._n), dtype=bool)
+        if self._q is None:
+            self._fleet = FleetSearch(self._R, self._n, bound)
         self._batch_ready = True
+
+    def _bound(self) -> int | None:
+        """Cap on every row sum, hence every load (None: unbounded open)."""
+        return self._m if self.spec.kind == "closed" else self.spec.max_balls
 
     def _advance(self, T: int, hist: np.ndarray | None = None) -> None:
         """Advance the fleet T phases with no per-step Python dispatch.
@@ -324,64 +386,105 @@ class VectorizedProcess:
                 self._t += 1
                 if hist is not None:
                     hist[i] = self._V[:, 0]
-        elif self.spec.kind == "closed":
+            return
+        # A load grows by at most one per phase and never past the
+        # row-sum cap, so B bounds every load of the segment.
+        top = int(self._V[:, 0].max()) + T
+        bound = self._bound()
+        self._fleet.rekey(self._V, (top if bound is None else min(top, bound)) + 1)
+        if self.spec.kind == "closed":
             self._advance_closed(T, hist)
         else:
             self._advance_open(T, hist)
 
-    def _advance_closed(self, T: int, hist: np.ndarray | None = None) -> None:
-        """T fused closed phases: one slab draw, zero (R, n) allocations.
+    def _edit(self, rows: np.ndarray | None, at: np.ndarray, delta: int) -> None:
+        """v ⊖ e (*delta* −1) or v ⊕ e (+1) in *rows* (None: every row).
 
-        Per step the removal inversion lands in the ``_csum``/
-        ``_bool_buf`` scratch (:meth:`RemovalLaw.quantile_batch_into`)
-        and both Fact 3.2 counting comparisons exploit the descending
-        row invariant: ``#{≥ x}`` / ``#{> x}`` are per-row binary
-        searches (:func:`_counts_desc`), not O(n) scans — together with
-        dropping the unbatched step's five fresh (R, n) intermediates,
-        this is where the batched throughput comes from.
+        *at* holds the flat index of the sampled bin in each row; the
+        edit lands at the last (⊖) or first (⊕) index of that bin's
+        value-run, found by one key search (:func:`_counts_desc`), and
+        the key follows the load in O(R).
+        """
+        Vf = self._V.reshape(-1)
+        vals = Vf[at]
+        if delta < 0:
+            pos = _counts_desc(self._fleet, rows, vals, "right")
+            pos -= 1
+        else:
+            pos = _counts_desc(self._fleet, rows, vals, "left")
+        Vf[pos] += delta
+        self._fleet.key[pos] -= delta
+
+    def _advance_closed(self, T: int, hist: np.ndarray | None = None) -> None:
+        """T fused closed phases: one slab draw, no per-row Python loop.
+
+        Per step the removal inversion is one search over the whole
+        fleet (:meth:`RemovalLaw.quantile_batch_into`), and each Fact
+        3.2 edit is one search over the fleet key (:meth:`_edit`) — a
+        handful of numpy calls per phase whatever R is, and no O(R·n)
+        pass beyond ball removal's cumsum.
         """
         p = self.spec.p_relocate
         k = 4 if p > 0 else 2
         U = self._rng.random((T, k, self._R))
         V = self._V
-        rows = self._rows
+        first = self._fleet.start
         law = self._law
-        csum = self._csum
-        buf = self._bool_buf
         n = self._n
         rule = self.rule
         for i in range(T):
             u = U[i]
-            rm = law.quantile_batch_into(V, u[0], csum, buf)
-            vals = V[rows, rm]
-            pos = _counts_desc(V, vals, "left")  # #{>= val}
-            pos -= 1
-            V[rows, pos] -= 1
+            rm = law.quantile_batch_into(V, u[0], self._fleet)
+            self._edit(None, first + rm, -1)
             ins = rule.insertion_quantile_batch(n, u[1])
-            vals = V[rows, ins]
-            pos = _counts_desc(V, vals, "right")  # #{> val}
-            V[rows, pos] += 1
+            self._edit(None, first + ins, +1)
             if p > 0:
                 coin = u[2] < p
-                target = rule.insertion_quantile_batch(n, u[3])
-                gap_ok = (V[rows, 0] - V[rows, target]) >= 2
+                target = first + rule.insertion_quantile_batch(n, u[3])
+                gap_ok = (V[:, 0] - V.reshape(-1)[target]) >= 2
                 sel = np.nonzero(coin & gap_ok)[0]
                 if sel.size:
-                    self._decrement(sel, np.zeros(sel.size, dtype=np.int64))
-                    self._increment(sel, target[sel])
+                    self._edit(sel, first[sel], -1)
+                    self._edit(sel, target[sel], +1)
                     self.relocations += int(sel.size)
             self._t += 1
             if hist is not None:
                 hist[i] = V[:, 0]
 
     def _advance_open(self, T: int, hist: np.ndarray | None = None) -> None:
-        """T open phases on one pre-drawn (T, 3, R) uniform slab."""
+        """T open phases on one pre-drawn (T, 3, R) uniform slab.
+
+        The same searches as :meth:`_advance_closed` on the row subsets
+        the coins select, with the row counts tracked in O(R) per phase
+        instead of re-summed.
+        """
         U = self._rng.random((T, 3, self._R))
+        V = self._V
+        first = self._fleet.start
+        counts = V.sum(axis=1)
+        cap = self.spec.max_balls
+        law = self._law
+        n = self._n
+        rule = self.rule
         for i in range(T):
-            self._step_open(U[i])
+            u = U[i]
+            coin = u[0] < 0.5
+            rows = np.nonzero(coin & (counts > 0))[0]
+            if rows.size:
+                rm = law.quantile_batch_into(V, u[1, rows], self._fleet, rows)
+                self._edit(rows, first[rows] + rm, -1)
+                counts[rows] -= 1
+            ins = ~coin
+            if cap is not None:
+                ins &= counts < cap
+            rows = np.nonzero(ins)[0]
+            if rows.size:
+                idx = rule.insertion_quantile_batch(n, u[2, rows])
+                self._edit(rows, first[rows] + idx, +1)
+                counts[rows] += 1
             self._t += 1
             if hist is not None:
-                hist[i] = self._V[:, 0]
+                hist[i] = V[:, 0]
 
     def _obs_account(self, steps: int) -> None:
         """Bulk-count *steps* fleet phases (only called when obs is enabled)."""
@@ -444,6 +547,32 @@ class VectorizedProcess:
             state["probe"] = probe.state_dict()
         return state
 
+    def _check_rows(self, V: np.ndarray) -> None:
+        """Reject a load matrix outside the spec's state space.
+
+        The kernels rely on these invariants (the search key's row
+        offsets assume every load lies in ``[0, bound]``), so a corrupt
+        snapshot fails here with the broken invariant named.
+        """
+        sums = V.sum(axis=1)
+        checks = [(
+            (V[:, 1:] > V[:, :-1]).any(axis=1) | (V[:, -1] < 0),
+            "fleet rows must be non-increasing and non-negative",
+        )]
+        cap = self.spec.max_balls
+        if self.spec.kind == "closed":
+            checks.append(
+                (sums != self._m, f"closed fleet rows must sum to m={self._m}")
+            )
+        elif cap is not None:
+            checks.append(
+                (sums > cap, f"open fleet rows must stay <= max_balls={cap}")
+            )
+        for bad, invariant in checks:
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise ValueError(f"{invariant}; row {r} (sum {sums[r]}) breaks it")
+
     def load_state(self, state: dict, *, probe_target: int | None = None) -> None:
         """Restore a :meth:`state_dict` snapshot onto this fleet.
 
@@ -458,6 +587,7 @@ class VectorizedProcess:
             raise ValueError(
                 f"checkpoint fleet shape {V.shape} != process shape {self._V.shape}"
             )
+        self._check_rows(V)
         self._V[:] = V
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])

@@ -80,7 +80,7 @@ def config_strategy(
     return st.builds(
         DiffConfig,
         spec=st.sampled_from(names),
-        n=st.integers(3, 20),
+        n=st.integers(1, 20),
         m=st.integers(1, 40),
         replicas=st.integers(2, 10),
         steps=st.integers(1, max_steps),

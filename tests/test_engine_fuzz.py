@@ -83,6 +83,24 @@ def test_seed_grid_is_deterministic():
     assert "scenario_a_adap" not in names and "rbb_walk" not in names
 
 
+def test_seed_grid_hits_boundary_shapes():
+    """CI's 200-config grid draws n = 1, n = 2 and int64 search scratch."""
+    from repro.engine.registry import registered_specs
+
+    specs = registered_specs()
+    cfgs = sample_configs(200, seed=0)
+    assert {1, 2} <= {c.n for c in cfgs}
+    # Loads fit int32, the fleet key and cumsum do not: sequential
+    # closed specs search wide scratch over a narrowed fleet.
+    wide = [
+        c for c in cfgs
+        if c.replicas * (c.m + 1) >= 2**31 and c.m < 2**31 - 1
+        and specs[c.spec].kind == "closed"
+        and not specs[c.spec].step.synchronous
+    ]
+    assert wide
+
+
 def test_grid_smoke_passes():
     """A small slice of the exact grid the CI fuzz-smoke job runs."""
     fuzzkit.assert_grid_passes(30, seed=0)

@@ -12,6 +12,9 @@ Three layers of agreement, from mechanical to distributional:
   fixed horizon from identical starts — the two engines consume
   randomness differently by design, so the check is distributional.
 
+The batched kernels' whole-fleet search helpers are checked against
+the per-row searches they replaced, on row subsets and boundary rows.
+
 Plus the contract edges: ADAP(χ) is rejected by the vectorized engine
 with a sequential-sampling reason, and the deprecated
 ``repro.balls.batch`` import path still resolves with exactly one
@@ -41,7 +44,7 @@ from repro.engine import (
     registered_specs,
     scenario_a_spec,
 )
-from repro.engine.spec import relocation_spec
+from repro.engine.spec import open_spec, relocation_spec
 from repro.utils.partitions import all_partitions
 
 SPECS = registered_specs()
@@ -504,19 +507,25 @@ def test_grand_coupling_rejects_synchronous_specs():
 
 @pytest.mark.parametrize("law", LAWS, ids=[law.name for law in LAWS])
 def test_quantile_batch_into_matches_quantile_batch(law):
-    """The allocation-free kernel variant equals the allocating one."""
+    """The whole-fleet search variant equals the allocating one."""
+    from repro.engine.vectorized import FleetSearch
+
     rng = np.random.default_rng(23)
     V = np.array([LoadVector.random(10, 7, rng).loads for _ in range(25)])
     u = rng.random(V.shape[0])
-    csum = np.empty_like(V)
-    buf = np.empty(V.shape, dtype=bool)
+
+    def fleet_for(V):
+        fleet = FleetSearch(*V.shape, bound=10)
+        fleet.rekey(V, 11)
+        return fleet
+
     np.testing.assert_array_equal(
-        law.quantile_batch_into(V, u, csum, buf), law.quantile_batch(V, u)
+        law.quantile_batch_into(V, u, fleet_for(V)), law.quantile_batch(V, u)
     )
     # int32 fleets (the narrowed batched layout) agree too.
     V32 = V.astype(np.int32)
     np.testing.assert_array_equal(
-        law.quantile_batch_into(V32, u, np.empty_like(V32), buf),
+        law.quantile_batch_into(V32, u, fleet_for(V32)),
         law.quantile_batch(V, u),
     )
 
@@ -535,6 +544,148 @@ def test_batched_parity_via_fuzzkit():
         cfg = fuzzkit.pinned_config(spec, **tweak)
         fuzzkit.assert_passes(cfg, "batched")
         fuzzkit.assert_passes(cfg, "replay")
+
+
+# ---------------------------------------------------------------------------
+# Whole-fleet searches: the batched kernels' helpers vs per-row references
+# ---------------------------------------------------------------------------
+
+def _search_fleets():
+    """Descending fleets with the boundary rows the kernels meet."""
+    rng = np.random.default_rng(41)
+    mixed = [LoadVector.random(9, 6, rng).loads for _ in range(5)]
+    return {
+        "mixed": np.array(mixed),
+        "all_equal": np.full((4, 5), 3),
+        # Open fleets: empty rows between and around nonempty ones.
+        "empty_rows": np.array(
+            [[0, 0, 0, 0], [4, 1, 0, 0], [0, 0, 0, 0], [2, 2, 2, 1], [0, 0, 0, 0]]
+        ),
+        "n1": np.array([[5], [0], [2], [7]]),
+    }
+
+
+def _row_count(V, r, x, ge):
+    """Reference ``#{j : V[r, j] ≥ x}`` (or ``> x``): the old per-row search."""
+    n = V.shape[1]
+    return n - int(np.searchsorted(V[r, ::-1], x, side="left" if ge else "right"))
+
+
+@pytest.mark.parametrize("name", sorted(_search_fleets()))
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_counts_desc_matches_per_row_reference(name, dtype):
+    """One key search per row set gives every row's flat Fact 3.2 boundary."""
+    from repro.engine.vectorized import FleetSearch, _counts_desc
+
+    V = _search_fleets()[name].astype(dtype)
+    R, n = V.shape
+    B = int(V.max()) + 1
+    fleet = FleetSearch(R, n, bound=int(V.sum(axis=1).max()))
+    fleet.rekey(V, B)
+    subsets = [None, np.arange(R), np.arange(0, R, 2), np.array([R - 1])]
+    for rows in subsets:
+        ids = np.arange(R) if rows is None else rows
+        for x in range(B):
+            vals = np.full(ids.size, x, dtype=dtype)
+            ge = _counts_desc(fleet, rows, vals, "right")
+            gt = _counts_desc(fleet, rows, vals, "left")
+            for k, r in enumerate(ids):
+                assert ge[k] == r * n + _row_count(V, r, x, ge=True)
+                assert gt[k] == r * n + _row_count(V, r, x, ge=False)
+
+
+@pytest.mark.parametrize("law", [BallRemoval(), BinRemoval()], ids=["ball", "bin"])
+@pytest.mark.parametrize("name", sorted(_search_fleets()))
+def test_removal_into_on_row_subsets(law, name):
+    """Whole-fleet removal inversion equals quantile_batch on the row copy."""
+    from repro.engine.vectorized import FleetSearch
+
+    V = _search_fleets()[name].astype(np.int32)
+    R, n = V.shape
+    fleet = FleetSearch(R, n, bound=int(V.sum(axis=1).max()))
+    fleet.rekey(V, int(V.max()) + 1)
+    nonempty = np.nonzero(V.sum(axis=1) > 0)[0]
+    u = np.random.default_rng(5).random(R)
+    for rows in (nonempty, nonempty[::2], nonempty[-1:]):
+        np.testing.assert_array_equal(
+            law.quantile_batch_into(V, u[rows], fleet, rows),
+            law.quantile_batch(V[rows], u[rows]),
+        )
+    # The u extremes land on the first and the last ball of each row.
+    for edge in (0.0, np.nextafter(1.0, 0.0)):
+        ue = np.full(nonempty.size, edge)
+        np.testing.assert_array_equal(
+            law.quantile_batch_into(V, ue, fleet, nonempty),
+            law.quantile_batch(V[nonempty], ue),
+        )
+
+
+@pytest.mark.parametrize("spec", ["scenario_a", "scenario_b", "relocation"])
+def test_forced_wide_scratch_bitwise(spec):
+    """int32 loads, int64 search scratch: run vs run_batched stays bitwise.
+
+    With R = 3 and m = 1.5·10⁹ every load fits int32, but the fleet key
+    and cumsum reach (R − 1)·(m + 1), which does not.
+    """
+    from tests import fuzzkit
+
+    cfg = fuzzkit.pinned_config(spec, n=4, m=1_500_000_000, replicas=3)
+    fuzzkit.assert_passes(cfg, "batched")
+    fuzzkit.assert_passes(cfg, "replay")
+    bp = VectorizedEngine.make(
+        SPECS[spec], LoadVector.all_in_one(cfg.m, cfg.n), cfg.replicas, seed=1
+    )
+    bp.run_batched(5, batch=2)
+    assert bp.loads.dtype == np.int32
+    assert bp._fleet.dtype == np.int64 and bp._fleet.key.dtype == np.int64
+
+
+@pytest.mark.parametrize("spec, start", [
+    (SPECS["scenario_a"], LoadVector.balanced(6, 12)),
+    (SPECS["relocation"], LoadVector.balanced(30, 10)),
+    (SPECS["open_ball"], LoadVector.empty(5)),
+    (open_spec(ABKURule(2), removal="bin"), LoadVector.empty(3)),  # no cap
+])
+def test_batched_bitwise_while_loads_grow(spec, start):
+    """Segments whose loads climb above the segment-start max stay bitwise.
+
+    The fuzz grid starts from the all-in-one state, where no load ever
+    exceeds the start; here the search key's per-segment bound B (start
+    max + segment length, capped) is what keeps row blocks apart.
+    """
+    for batch in (1, 2, 7, 64):
+        a = VectorizedEngine.make(spec, start, 6, seed=batch)
+        b = VectorizedEngine.make(spec, start, 6, seed=batch)
+        a.run(200)
+        b.run_batched(200, batch=batch)
+        np.testing.assert_array_equal(a.loads, b.loads)
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+        assert a.relocations == b.relocations
+
+
+def test_load_state_rejects_corrupt_fleet():
+    """A snapshot outside the state space fails with the invariant named."""
+    bp = VectorizedEngine.make(
+        SPECS["scenario_a"], LoadVector.all_in_one(8, 4), 2, seed=0
+    )
+    good = bp.state_dict()
+    corrupt = dict(good, V=np.array([[9, 3, 0, 0], [1, 2, 5, 0]]))
+    with pytest.raises(ValueError, match="non-increasing"):
+        bp.load_state(corrupt)
+    with pytest.raises(ValueError, match="sum to m=8"):
+        bp.load_state(dict(good, V=np.array([[9, 3, 0, 0], [5, 2, 1, 0]])))
+    with pytest.raises(ValueError, match="non-negative"):
+        bp.load_state(dict(good, V=np.array([[9, 0, 0, -1], [5, 2, 1, 0]])))
+    # The rejected snapshots left the fleet alone.
+    bp.run_batched(3)
+    assert (bp.loads >= 0).all() and (bp.ball_counts() == 8).all()
+
+    spec = SPECS["open_ball"]
+    op = VectorizedEngine.make(spec, LoadVector.all_in_one(2, 4), 2, seed=0)
+    with pytest.raises(ValueError, match=f"max_balls={spec.max_balls}"):
+        op.load_state(dict(op.state_dict(), V=np.array([[4, 3, 0, 0], [1, 0, 0, 0]])))
+    with pytest.raises(ValueError, match="max_balls"):
+        VectorizedEngine.make(spec, LoadVector.all_in_one(spec.max_balls + 1, 4), 2)
 
 
 # ---------------------------------------------------------------------------
