@@ -6,17 +6,19 @@ replicas each way, pinning the speedup that makes the paper-scale
 experiment sweeps affordable.
 """
 
-from repro.balls.batch import BatchProcess
 from repro.balls.load_vector import LoadVector
 from repro.balls.rules import ABKURule
 from repro.balls.scenario_a import ScenarioAProcess
+from repro.engine import VectorizedEngine, scenario_a_spec
 
 N = 256
 R = 64
 
 
 def test_bench_batch_phase_64_replicas(benchmark):
-    bp = BatchProcess(ABKURule(2), LoadVector.random(N, N, 0), R, seed=1)
+    bp = VectorizedEngine.make(
+        scenario_a_spec(ABKURule(2)), LoadVector.random(N, N, 0), R, seed=1
+    )
     benchmark(bp.step)
 
 

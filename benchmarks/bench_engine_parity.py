@@ -2,7 +2,7 @@
 
 One phase of R replicas per engine, for every registered spec the
 vectorized engine supports, plus the exact-kernel build at small n.
-The vectorized stepper must keep the old BatchProcess headroom — run
+The vectorized stepper must keep its headroom over the scalar one — run
 ``python -m repro bench run --filter engine`` and diff against the
 committed baseline with ``python -m repro obs diff``.
 """

@@ -117,7 +117,7 @@ def _vectorized_recovery_shard(
     return bp.recovery_times(target_max_load, max_steps, batch=batch)
 
 
-def _scalar_serial_checkpointed(
+def _scalar_serial(
     rule,
     scenario,
     start,
@@ -130,13 +130,15 @@ def _scalar_serial_checkpointed(
 ):
     """The serial scalar loop, chunked at the checkpoint cadence.
 
-    Each replica runs ``run_until`` in chunks of ``save_every`` steps
-    and offers a save at every chunk boundary.  Chunking is invisible
-    in the artifact: probes key off the process's *global* step
-    counter, the RNG stream is untouched by chunk boundaries, and the
-    per-chunk metrics accounting sums to the single-call total — so
-    ``save_every > 0`` produces byte-identical telemetry to the legacy
-    single-call path (pinned by ``tests/test_checkpoint_resume.py``).
+    Without a *checkpointer* (or at ``save_every = 0``) each replica
+    makes one ``run_until(max_steps)`` call.  With one, each replica
+    runs ``run_until`` in chunks of ``save_every`` steps and offers a
+    save at every chunk boundary.  Chunking is invisible in the
+    artifact: probes key off the process's *global* step counter, the
+    RNG stream is untouched by chunk boundaries, and the per-chunk
+    metrics accounting sums to the single-call total — so
+    ``save_every > 0`` produces byte-identical telemetry to the
+    single-call loop (pinned by ``tests/test_checkpoint_resume.py``).
     """
     times = np.full(replicas, -1, dtype=np.int64)
     k0 = 0
@@ -303,18 +305,10 @@ def recovery_times_balls(
             max_steps=max_steps,
         )
         return np.asarray(times_list, dtype=np.int64)
-    if checkpointer is not None or resume_state is not None:
-        return _scalar_serial_checkpointed(
-            rule, scenario, start, target_max_load,
-            replicas, max_steps, seed, checkpointer, resume_state,
-        )
-    times = np.empty(replicas, dtype=np.int64)
-    for k, rng in enumerate(spawn_generators(seed, replicas)):
-        proc = _make_scalar_process(rule, scenario, start.copy(), rng)
-        times[k] = proc.run_until(
-            lambda v: int(v[0]) <= target_max_load, max_steps
-        )
-    return times
+    return _scalar_serial(
+        rule, scenario, start, target_max_load,
+        replicas, max_steps, seed, checkpointer, resume_state,
+    )
 
 
 def crash_state_edge(n: int) -> list[int]:

@@ -61,19 +61,8 @@ from repro.balls.custom_removal import (
     weight_scenario_b,
 )
 
-def __getattr__(name: str):
-    # PEP 562 lazy re-export: importing the deprecated shim eagerly
-    # would fire its DeprecationWarning on every `import repro`.
-    if name == "BatchProcess":
-        from repro.balls.batch import BatchProcess
-
-        return BatchProcess
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ABKURule",
-    "BatchProcess",
     "bottom_state",
     "check_monotone_phase",
     "majorizes",

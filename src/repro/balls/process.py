@@ -56,6 +56,8 @@ class DynamicAllocationProcess(ABC):
     _obs_name = "process"
     #: RNG draws one phase consumes (subclass accounting hint).
     _obs_rng_per_phase = 2
+    #: Fewest balls a start state may hold (closed phases remove one first).
+    _min_balls = 1
 
     def __init__(
         self,
@@ -67,7 +69,7 @@ class DynamicAllocationProcess(ABC):
             v = state.loads.copy()
         else:
             v = LoadVector(state).loads.copy()
-        if int(v.sum()) < 1:
+        if int(v.sum()) < self._min_balls:
             raise ValueError("dynamic processes need at least one ball to remove")
         self._v = v
         self._rng = as_generator(seed)

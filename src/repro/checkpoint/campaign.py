@@ -1,9 +1,11 @@
-"""Resumable campaign orchestration: observe, dispatch, checkpoint.
+"""The campaign driver: observe, dispatch, checkpoint.
 
-:func:`run_checkpointed_campaign` is the engine-room behind
-``repro campaign --save-every K`` and ``repro resume <run-dir>``: it
-owns the :class:`~repro.checkpoint.manager.Checkpointer` lifecycle,
-chooses the fresh (:func:`~repro.obs.recorder.observe_run`) or resumed
+:func:`run_checkpointed_campaign` is the one driver behind every
+``repro campaign`` (checkpointed or not) and ``repro resume
+<run-dir>``: it owns the :class:`~repro.checkpoint.manager.Checkpointer`
+lifecycle (none at ``save_every = 0``: no SIGTERM handler, no fleet
+checkpoint, no save), chooses the fresh
+(:func:`~repro.obs.recorder.observe_run`) or resumed
 (:func:`~repro.obs.recorder.observe_resumed_run`) observability
 context, and dispatches the measurement to the right engine path:
 
@@ -43,7 +45,7 @@ __all__ = ["run_checkpointed_campaign", "exact_recovery_times"]
 
 
 def _campaign_meta(config: dict) -> dict:
-    """The run-artifact metadata for *config* (same keys as the legacy path)."""
+    """The run-artifact metadata for *config*."""
     seed = config.get("seed")
     return {
         "experiment": "campaign",
@@ -244,21 +246,23 @@ def run_checkpointed_campaign(
     config: dict,
     resume_doc: dict | None = None,
 ) -> dict:
-    """Run (or resume) one checkpoint-aware recovery campaign.
+    """Run (or resume) one recovery campaign, checkpointed or not.
 
-    *config* is the JSON-serializable argument record
-    ``experiments.campaign.run_campaign`` builds — it rides inside
-    every checkpoint so ``repro resume <run-dir>`` can rebuild the
-    exact run without the original command line.  *resume_doc* is the
+    *config* is the argument record
+    ``experiments.campaign.run_campaign`` builds.  With
+    ``save_every > 0`` it is JSON-serializable and rides inside every
+    checkpoint, so ``repro resume <run-dir>`` can rebuild the exact run
+    without the original command line.  *resume_doc* is the
     committed checkpoint document from
     :func:`~repro.checkpoint.store.load_checkpoint`; when given, the
     artifact streams are truncated back to the checkpoint's cursors
     and the measurement continues mid-flight.
 
-    Returns the same summary dict as ``run_campaign``, with one extra
-    key: ``"interrupted"`` is the checkpointed step when a SIGTERM cut
-    the run short (the artifact is finalized with status
-    ``interrupted`` and can be resumed), else ``None``.
+    Returns the campaign summary: run directory, recovery target,
+    per-replica times, capped count, median/q95, wall time and meta.
+    ``"interrupted"`` is the checkpointed step when a SIGTERM cut the
+    run short (the artifact is finalized with status ``interrupted``
+    and can be resumed; ``times`` is then ``None``), else ``None``.
     """
     from repro.analysis.recovery_measure import campaign_rule, recovery_times_balls
     from repro.balls.load_vector import LoadVector
@@ -353,28 +357,17 @@ def run_checkpointed_campaign(
         if ckpt is not None:
             ckpt.close()
     wall_s = time.perf_counter() - t0
-    if interrupted is not None:
-        return {
-            "run_dir": run_dir,
-            "target_max_load": int(config["target"]),
-            "times": None,
-            "capped": 0,
-            "median": float("nan"),
-            "q95": float("nan"),
-            "wall_s": wall_s,
-            "meta": meta,
-            "interrupted": interrupted,
-        }
-    arr = np.asarray(times, dtype=np.int64)
+    # An interrupted run has no times: nothing capped, NaN quantiles.
+    arr = np.asarray(times if interrupted is None else [], dtype=np.int64)
     done = arr[arr >= 0].astype(np.float64)
     return {
         "run_dir": run_dir,
         "target_max_load": int(config["target"]),
-        "times": arr,
+        "times": arr if interrupted is None else None,
         "capped": int((arr < 0).sum()),
         "median": float(np.median(done)) if done.size else float("nan"),
         "q95": float(np.quantile(done, 0.95)) if done.size else float("nan"),
         "wall_s": wall_s,
         "meta": meta,
-        "interrupted": None,
+        "interrupted": interrupted,
     }

@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 0.25)")
     p.add_argument("--restart-lost", type=int, default=0, metavar="N",
                    help="pooled runs: survive up to N killed workers by "
-                   "replaying their shards from the fleet checkpoint")
+                   "replaying their shards from the fleet checkpoint "
+                   "(needs --save-every K > 0 and --processes > 1)")
     p.add_argument("--batch", type=int, default=1, metavar="T",
                    help="vectorized engine: advance fleets T steps per "
                    "Python-level call through the batched kernels "
@@ -592,26 +593,30 @@ def _cmd_campaign(args) -> int:
     out = args.out or default_campaign_dir()
     print(f"campaign run dir: {out}")
     print(f"  watch live:  python -m repro obs watch {out}")
-    summary = run_campaign(
-        n=args.n,
-        m=args.m,
-        d=args.d,
-        scenario=args.spec or args.scenario,
-        engine=args.engine,
-        replicas=args.replicas,
-        processes=args.processes,
-        target=args.target,
-        max_steps=args.max_steps,
-        probe_every=args.probe_every,
-        heartbeat_s=args.heartbeat_s,
-        seed=args.seed,
-        out=out,
-        trace=args.trace,
-        save_every=args.save_every,
-        eps=args.eps,
-        restart_lost=args.restart_lost,
-        batch=args.batch,
-    )
+    try:
+        summary = run_campaign(
+            n=args.n,
+            m=args.m,
+            d=args.d,
+            scenario=args.spec or args.scenario,
+            engine=args.engine,
+            replicas=args.replicas,
+            processes=args.processes,
+            target=args.target,
+            max_steps=args.max_steps,
+            probe_every=args.probe_every,
+            heartbeat_s=args.heartbeat_s,
+            seed=args.seed,
+            out=out,
+            trace=args.trace,
+            save_every=args.save_every,
+            eps=args.eps,
+            restart_lost=args.restart_lost,
+            batch=args.batch,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return _print_campaign_summary(summary)
 
 

@@ -1,7 +1,8 @@
 """Vectorized multi-replica edge orientation simulator.
 
-The (R, n) analogue of :class:`repro.balls.batch.BatchProcess` for the
-greedy edge orientation chain: R independent replicas kept as rows of
+The (R, n) analogue of
+:class:`~repro.engine.vectorized.VectorizedProcess` for the greedy edge
+orientation chain: R independent replicas kept as rows of
 descending discrepancies, advanced together with whole-array NumPy
 passes.  The greedy move on ranks (φ, ψ), φ < ψ, with values
 a = row[φ] ≥ b = row[ψ] is the multiset update −{a, b} + {a−1, b+1},

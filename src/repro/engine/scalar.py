@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, ominus_index, oplus_index
+from repro.balls.load_vector import LoadVector
 from repro.balls.process import DynamicAllocationProcess
 from repro.engine.spec import BallRemoval, BinRemoval, ProcessSpec
 from repro.utils.fenwick import FenwickTree
@@ -137,14 +137,21 @@ class SpecProcess(DynamicAllocationProcess):
         self._t += 1
 
 
-class OpenSpecProcess:
+class OpenSpecProcess(DynamicAllocationProcess):
     """Scalar simulator of an open :class:`ProcessSpec` (§7 variable m).
 
     Each step a fair coin picks: remove one ball by the spec's law
     (no-op on the empty state, matching the paper's "remove a random
     *existing* ball"), or place one ball by the rule (no-op at the
-    ``max_balls`` cap when set).
+    ``max_balls`` cap when set).  Run, probe and checkpoint plumbing
+    come from :class:`~repro.balls.process.DynamicAllocationProcess`;
+    the chain probe's recovery envelope is pinned to the ball count at
+    probe creation, and a restored snapshot keeps that envelope even
+    though ``m`` has drifted since.
     """
+
+    #: Open systems may start (and become) empty.
+    _min_balls = 0
 
     def __init__(
         self,
@@ -157,42 +164,12 @@ class OpenSpecProcess:
             raise ValueError(
                 f"OpenSpecProcess runs open specs; use SpecProcess for {spec.name!r}"
             )
-        if isinstance(state, LoadVector):
-            v = state.loads.copy()
-        else:
-            v = LoadVector(state).loads.copy()
-        self._v = v
+        super().__init__(state, seed=seed)
         self.spec = spec
         self.rule = spec.rule
         self.max_balls = spec.max_balls
+        self._obs_name = spec.name
         self._law = spec.removal
-        self._rng = as_generator(seed)
-        self._t = 0
-
-    @property
-    def n(self) -> int:
-        """Number of bins."""
-        return int(self._v.shape[0])
-
-    @property
-    def m(self) -> int:
-        """Current (varying) number of balls."""
-        return int(self._v.sum())
-
-    @property
-    def t(self) -> int:
-        """Steps executed."""
-        return self._t
-
-    @property
-    def state(self) -> LoadVector:
-        """Defensive snapshot of the normalized state."""
-        return LoadVector(self._v.copy(), normalize=False)
-
-    @property
-    def loads(self) -> np.ndarray:
-        """Live descending load array (read-only use)."""
-        return self._v
 
     def step(self) -> None:
         """One open-system step: fair coin → remove or insert."""
@@ -203,96 +180,18 @@ class OpenSpecProcess:
             self._insert(rng)
         self._t += 1
 
-    def step_with(self, coin: bool, u_remove: float, rng: np.random.Generator) -> None:
-        """Externally driven step, for coupling two copies on shared randomness."""
-        if coin:
-            self._remove(u_remove)
-        else:
-            self._insert(rng)
-        self._t += 1
-
     def _remove(self, u: float) -> None:
         if self._v.sum() == 0:
             return  # nothing to remove: no-op, as in the paper's example
-        i = self._law.quantile(self._v, u)
-        self._v[ominus_index(self._v, i)] -= 1
+        self._decrement_at(self._law.quantile(self._v, u))
 
     def _insert(self, rng: np.random.Generator) -> None:
         if self.max_balls is not None and self._v.sum() >= self.max_balls:
             return  # bounded-population variant (§7 first class)
-        j = self.rule.select(self._v, rng)
-        self._v[oplus_index(self._v, j)] += 1
+        self._increment_at(self.rule.select(self._v, rng))
 
-    def _get_probe(self):
-        """Lazily built chain probe (see the closed-spec counterpart).
-
-        Open systems have no fixed m, so the recovery envelope is pinned
-        to the ball count at probe creation — the natural "recover to
-        where we started being watched" notion for §7 runs.
-        """
-        probe = getattr(self, "_chain_probe", None)
-        if probe is None:
-            from repro.obs.probes import ChainProbe, max_load_recovery_monitor
-
-            series = f"{self.spec.name}/chain"
-            probe = ChainProbe(
-                series, monitors=(max_load_recovery_monitor(series, self.n, self.m),)
-            )
-            self._chain_probe = probe
-        return probe
-
-    def state_dict(self) -> dict:
-        """Open-system state for checkpoint/resume (loads, RNG, phase)."""
-        state: dict = {
-            "loads": self._v.copy(),
-            "rng": self._rng.bit_generator.state,
-            "t": self._t,
-        }
-        probe = getattr(self, "_chain_probe", None)
-        if probe is not None:
-            state["probe"] = probe.state_dict()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this simulator.
-
-        The probe's recovery envelope was pinned to the ball count at
-        probe *creation*; its monitor state (threshold included) rides
-        along in the snapshot, so a resumed open run keeps the original
-        envelope even though ``self.m`` has drifted since.
-        """
-        v = np.asarray(state["loads"], dtype=np.int64)
-        if v.shape != self._v.shape:
-            raise ValueError(
-                f"checkpoint has n={v.shape[0]}, process has n={self._v.shape[0]}"
-            )
-        self._v[:] = v
-        self._rng.bit_generator.state = state["rng"]
-        self._t = int(state["t"])
-        if "probe" in state:
-            self._get_probe().load_state(state["probe"])
-
-    def run(self, steps: int) -> "OpenSpecProcess":
-        """Execute *steps* steps; returns self."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if not obs.enabled():
-            for _ in range(steps):
-                self.step()
-            return self
-        with obs.span(f"{self.spec.name}/run", steps=steps, n=self.n):
-            every = obs.probe_interval()
-            if every > 0:
-                probe = self._get_probe()
-                for _ in range(steps):
-                    self.step()
-                    if self._t % every == 0:
-                        probe.observe(self._t, self._v)
-            else:
-                for _ in range(steps):
-                    self.step()
-        obs.metrics().counter(f"{self.spec.name}.steps").inc(steps)
-        return self
+    def _obs_account(self, steps: int) -> None:
+        obs.metrics().counter(f"{self._obs_name}.steps").inc(steps)
 
     def __repr__(self) -> str:
         return (

@@ -18,6 +18,12 @@ at every process count); ``vectorized`` shards the fleet into one
 processes)``).  The finished ``timeseries.jsonl`` is canonicalized at
 finalization, so a re-run with the same seed and process count is
 byte-identical.
+
+:func:`run_campaign` validates its arguments, fills the defaults and
+hands the config record to
+:func:`~repro.checkpoint.campaign.run_checkpointed_campaign`, the one
+campaign driver: checkpointed or not, every engine and every
+``save_every`` cadence runs through it.
 """
 
 from __future__ import annotations
@@ -25,10 +31,8 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
-from repro.analysis.recovery_measure import CAMPAIGN_SCENARIOS, campaign_rule
-from repro.balls.load_vector import LoadVector
+from repro.analysis.recovery_measure import CAMPAIGN_SCENARIOS
+from repro.checkpoint.campaign import run_checkpointed_campaign
 from repro.utils.rng import SeedLike
 
 __all__ = ["run_campaign", "default_campaign_dir"]
@@ -83,8 +87,10 @@ def run_campaign(
     distribution (first t with d_TV(μ_t, π) ≤ *eps*) instead of
     sampled hitting times.  *restart_lost* > 0 lets pooled campaigns
     survive that many killed workers by replaying their shards from
-    the last fleet checkpoint.  With ``save_every=0`` (the default) a
-    non-exact campaign takes the legacy zero-overhead path below.
+    the last fleet checkpoint, so it needs ``save_every > 0`` and
+    ``processes > 1`` on a sampling engine (``ValueError`` otherwise).
+    With ``save_every=0`` (the default) nothing is checkpointed: no
+    SIGTERM handler, no fleet checkpoint, no save.
 
     Besides the paper's ``'a'``/``'b'``, *scenario* accepts the
     synchronous RBB tokens ``'rbb_uniform'``, ``'rbb_twochoice'`` and
@@ -100,83 +106,41 @@ def run_campaign(
         raise ValueError(
             f"scenario must be one of {CAMPAIGN_SCENARIOS}, got {scenario!r}"
         )
+    pooled = engine != "exact" and (processes is None or processes > 1)
+    if restart_lost > 0 and not (pooled and save_every > 0):
+        raise ValueError(
+            f"restart_lost={restart_lost} needs fleet checkpoints to replay "
+            "lost shards from, and only a pooled (processes > 1) scalar or "
+            "vectorized campaign with save_every > 0 writes them"
+        )
+    if save_every > 0 and not (seed is None or isinstance(seed, int)):
+        raise ValueError(
+            "save_every > 0 needs an int or None seed (the checkpoint "
+            f"stores it as JSON), got {type(seed).__name__}"
+        )
     if m is None:
         m = n
     if target is None:
         from repro.obs.probes import recovery_target
 
         target = recovery_target(n, m)
-    run_dir = out or default_campaign_dir()
-    if engine == "exact" or save_every > 0:
-        from repro.checkpoint.campaign import run_checkpointed_campaign
-
-        config = {
-            "n": n,
-            "m": m,
-            "d": d,
-            "scenario": scenario,
-            "engine": engine,
-            "replicas": replicas,
-            "processes": processes,
-            "target": int(target),
-            "max_steps": max_steps,
-            "probe_every": probe_every,
-            "heartbeat_s": heartbeat_s,
-            "seed": seed if seed is None or isinstance(seed, int) else str(seed),
-            "trace": trace,
-            "save_every": int(save_every),
-            "eps": float(eps),
-            "restart_lost": int(restart_lost),
-            "batch": int(batch),
-        }
-        return run_checkpointed_campaign(run_dir, config=config)
-    rule = campaign_rule(scenario, d)
-    start = LoadVector.all_in_one(m, n)
-    meta = {
-        "experiment": "campaign",
-        "scenario": scenario,
-        "engine": engine,
+    config = {
         "n": n,
         "m": m,
         "d": d,
+        "scenario": scenario,
+        "engine": engine,
         "replicas": replicas,
         "processes": processes,
-        "target_max_load": int(target),
-        "seed": seed if seed is None or isinstance(seed, int) else str(seed),
-        "steps_total": max_steps,
+        "target": int(target),
+        "max_steps": max_steps,
+        "probe_every": probe_every,
+        "heartbeat_s": heartbeat_s,
+        "seed": seed,
+        "trace": trace,
+        "save_every": int(save_every),
+        "eps": float(eps),
+        "restart_lost": int(restart_lost),
         "batch": int(batch),
     }
-    from repro.analysis.recovery_measure import recovery_times_balls
-    from repro.obs.recorder import observe_run
-
-    t0 = time.perf_counter()
-    with observe_run(run_dir, meta=meta, trace=trace, probe_every=probe_every):
-        times = recovery_times_balls(
-            rule,
-            n,
-            m,
-            target,
-            scenario=scenario,
-            start=start,
-            replicas=replicas,
-            max_steps=max_steps,
-            engine=engine,
-            seed=seed,
-            processes=processes,
-            heartbeat_s=heartbeat_s,
-            batch=batch,
-        )
-    wall_s = time.perf_counter() - t0
-    arr = np.asarray(times, dtype=np.int64)
-    done = arr[arr >= 0].astype(np.float64)
-    return {
-        "run_dir": run_dir,
-        "target_max_load": int(target),
-        "times": arr,
-        "capped": int((arr < 0).sum()),
-        "median": float(np.median(done)) if done.size else float("nan"),
-        "q95": float(np.quantile(done, 0.95)) if done.size else float("nan"),
-        "wall_s": wall_s,
-        "meta": meta,
-        "interrupted": None,
-    }
+    return run_checkpointed_campaign(out or default_campaign_dir(), config=config)

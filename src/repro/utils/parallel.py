@@ -197,7 +197,6 @@ def parallel_replica_map(
     *,
     seed: SeedLike = None,
     processes: int | None = None,
-    chunksize: int = 1,
     heartbeat_s: float | None = None,
     fleet_ckpt=None,
     restart_lost: int = 0,
@@ -222,9 +221,8 @@ def parallel_replica_map(
     exhausted).
 
     *heartbeat_s* overrides the worker heartbeat period (telemetry-bus
-    campaigns only); *chunksize* is accepted for backward compatibility
-    and ignored — items are split into ``processes`` contiguous shards,
-    one telemetry lane each.
+    campaigns only).  Items are split into ``processes`` contiguous
+    shards, one telemetry lane each.
 
     Extra ``**kwargs`` reach every call verbatim — this is how the
     campaign stack threads per-shard execution knobs (e.g. the
@@ -233,7 +231,6 @@ def parallel_replica_map(
     sharding is by replica count only, so a knob that leaves each
     shard's trajectory unchanged leaves the pooled artifact unchanged.
     """
-    del chunksize  # sharding replaced chunked Pool.map in PR 7
     items = list(items)
     seeds = spawn_seeds(seed, len(items))
     pairs = list(zip(items, seeds))

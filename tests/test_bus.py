@@ -310,6 +310,47 @@ def test_run_campaign_rejects_bad_scenario(tmp_path):
         run_campaign(scenario="c", out=str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(save_every=0, processes=2),
+    dict(save_every=5, processes=1),
+    dict(save_every=5, processes=2, engine="exact"),
+], ids=["no-save-every", "serial", "exact"])
+def test_run_campaign_rejects_restart_lost_without_fleet_checkpoints(
+    tmp_path, kw
+):
+    # Only pooled sampling runs with save_every > 0 write the fleet
+    # checkpoints a lost shard replays from; elsewhere the knob would
+    # silently do nothing.
+    out = tmp_path / "x"
+    with pytest.raises(ValueError, match="restart_lost=2 needs fleet checkpoints"):
+        run_campaign(n=3, restart_lost=2, out=str(out), **kw)
+    assert not out.exists()
+
+
+def test_run_campaign_seed_kinds(tmp_path):
+    # save_every=0 takes any SeedLike; a checkpointed run stores its
+    # seed in the checkpoint's JSON config, so only int or None fits.
+    kw = dict(n=4, replicas=2, processes=1, probe_every=0)
+    a = run_campaign(seed=np.random.SeedSequence(3), out=str(tmp_path / "a"), **kw)
+    b = run_campaign(seed=3, out=str(tmp_path / "b"), **kw)
+    assert list(a["times"]) == list(b["times"])
+    with pytest.raises(ValueError, match="int or None seed"):
+        run_campaign(seed=np.random.SeedSequence(3), save_every=5,
+                     out=str(tmp_path / "c"), **kw)
+    assert not (tmp_path / "c").exists()
+
+
+def test_cli_campaign_restart_lost_without_save_every_exits_2(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "x"
+    code = main(["campaign", "--n", "3", "--restart-lost", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: restart_lost=2 needs fleet checkpoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bus_disabled_outside_observe_run():
     # No recorder, no obs: the pooled path must not build a bus.
     assert not obs.enabled()

@@ -13,7 +13,7 @@ Three layers of enforcement:
   including the ``write:N`` schedule that kills exactly between the
   archive write and the pointer rename, proving the atomic protocol;
 * **in-process determinism**: ``save_every > 0`` must not perturb the
-  artifact relative to the legacy ``save_every = 0`` path, and a
+  artifact relative to the unchunked ``save_every = 0`` run, and a
   deterministic SIGTERM (sent to self from the crash hook, so the
   save boundary is exact) must finalize a resumable artifact;
 * **hypothesis properties**: randomized small (n, m, save_every,
@@ -147,19 +147,20 @@ def test_sigkill_mid_batch_resumes_byte_identical(tmp_path):
 @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
 def test_save_every_is_invisible_in_the_artifact(tmp_path, engine):
     """Chunked execution (save_every > 0) must be byte-identical to the
-    legacy single-call path (save_every = 0): probes key off global
-    step counters and the RNG stream never sees a chunk boundary."""
+    unchunked run (save_every = 0, one run_until call per replica):
+    probes key off global step counters and the RNG stream never sees
+    a chunk boundary."""
     kw = dict(SCALAR_KW, engine=engine)
     kw.pop("save_every")
     a = _campaign(tmp_path / "chunked", save_every=10, **kw)
-    b = _campaign(tmp_path / "legacy", save_every=0, **kw)
+    b = _campaign(tmp_path / "unchunked", save_every=0, **kw)
     assert list(a["times"]) == list(b["times"])
     for name in ("timeseries.jsonl", "events.jsonl"):
         with open(tmp_path / "chunked" / name, "rb") as f:
             chunked = f.read()
-        with open(tmp_path / "legacy" / name, "rb") as f:
-            legacy = f.read()
-        assert chunked == legacy
+        with open(tmp_path / "unchunked" / name, "rb") as f:
+            unchunked = f.read()
+        assert chunked == unchunked
 
 
 def test_sigterm_saves_finalizes_and_resumes(tmp_path):

@@ -16,8 +16,7 @@ The batched kernels' whole-fleet search helpers are checked against
 the per-row searches they replaced, on row subsets and boundary rows.
 
 Plus the contract edges: ADAP(χ) is rejected by the vectorized engine
-with a sequential-sampling reason, and the deprecated
-``repro.balls.batch`` import path still resolves with exactly one
+with a sequential-sampling reason, and ``import repro`` raises no
 DeprecationWarning.
 """
 
@@ -32,7 +31,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from repro.balls.load_vector import LoadVector, ominus, oplus
-from repro.balls.rules import ABKURule, AdaptiveRule, threshold_chi
+from repro.balls.rules import ABKURule
 from repro.engine import (
     BallRemoval,
     BinRemoval,
@@ -689,27 +688,12 @@ def test_load_state_rejects_corrupt_fleet():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shim
+# Import hygiene
 # ---------------------------------------------------------------------------
 
-def test_balls_batch_shim_emits_single_deprecation_warning():
-    sys.modules.pop("repro.balls.batch", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mod = importlib.import_module("repro.balls.batch")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert "repro.engine" in str(dep[0].message)
-    # The old name still resolves and subclasses the engine stepper.
-    from repro.engine.vectorized import VectorizedProcess
-
-    assert issubclass(mod.BatchProcess, VectorizedProcess)
-
-
 def test_import_repro_does_not_warn():
-    # The lazy re-export keeps `import repro` quiet; only touching the
-    # shim module (or the lazy attribute) warns.  Restore the module
-    # cache afterwards so class identities stay stable for other tests.
+    # `import repro` must stay quiet.  Restore the module cache
+    # afterwards so class identities stay stable for other tests.
     saved = {m: sys.modules.pop(m) for m in list(sys.modules)
              if m == "repro" or m.startswith("repro.")}
     try:
@@ -724,19 +708,3 @@ def test_import_repro_does_not_warn():
                   if m == "repro" or m.startswith("repro.")]:
             sys.modules.pop(m)
         sys.modules.update(saved)
-
-
-def test_legacy_batch_process_surface():
-    import repro.balls as balls
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        BatchProcess = balls.BatchProcess
-    bp = BatchProcess(ABKURule(2), LoadVector.all_in_one(6, 6), 4,
-                      scenario="b", seed=0)
-    bp.run(20)
-    assert "BatchProcess" in repr(bp)
-    assert bp.m == 6 and bp.scenario == "b"
-    with pytest.raises(TypeError, match="ABKU"):
-        BatchProcess(AdaptiveRule(threshold_chi(1, 3, 2)),
-                     LoadVector.all_in_one(4, 4), 2)

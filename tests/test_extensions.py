@@ -1,10 +1,9 @@
-"""Tests for the extension modules: batch, custom removal, product chains,
-two-phase Theorem 2 schedule."""
+"""Tests for the extension modules: the vectorized batch fleet, custom
+removal, product chains, two-phase Theorem 2 schedule."""
 
 import numpy as np
 import pytest
 
-from repro.balls.batch import BatchProcess
 from repro.balls.custom_removal import (
     CustomRemovalProcess,
     coalescence_time_custom,
@@ -18,6 +17,7 @@ from repro.balls.custom_removal import (
 from repro.balls.load_vector import LoadVector
 from repro.balls.rules import ABKURule, UniformRule
 from repro.coupling.two_phase import TwoPhaseResult, two_phase_coalescence_edge
+from repro.engine import VectorizedEngine, scenario_a_spec, scenario_b_spec
 from repro.markov import scenario_a_kernel, scenario_b_kernel
 from repro.markov.product import (
     CoupledChain,
@@ -26,14 +26,20 @@ from repro.markov.product import (
 )
 
 
+def _fleet(rule, start, replicas, *, scenario="a", seed=None):
+    """R replicas of I_A or I_B on the vectorized engine."""
+    spec = scenario_a_spec(rule) if scenario == "a" else scenario_b_spec(rule)
+    return VectorizedEngine.make(spec, start, replicas, seed=seed)
+
+
 class TestBatchProcess:
     def test_mass_conserved_all_replicas(self, abku2):
-        bp = BatchProcess(abku2, LoadVector.random(20, 10, 0), 8, seed=1)
+        bp = _fleet(abku2, LoadVector.random(20, 10, 0), 8, seed=1)
         bp.run(300)
         assert (bp.loads.sum(axis=1) == 20).all()
 
     def test_rows_stay_normalized(self, abku2):
-        bp = BatchProcess(abku2, LoadVector.all_in_one(15, 6), 5, seed=2)
+        bp = _fleet(abku2, LoadVector.all_in_one(15, 6), 5, seed=2)
         for _ in range(200):
             bp.step()
             assert (np.diff(bp.loads, axis=1) <= 0).all()
@@ -46,7 +52,7 @@ class TestBatchProcess:
         from repro.balls.scenario_b import ScenarioBProcess
 
         n = 300
-        bp = BatchProcess(
+        bp = _fleet(
             abku2, LoadVector.random(n, n, 3), 20, scenario=scenario, seed=4
         )
         bp.run(15 * n)
@@ -58,37 +64,29 @@ class TestBatchProcess:
         assert np.abs(bp.tail(3) - scalar_tail).max() < 0.05
 
     def test_recovery_times_match_theory_band(self, abku2):
-        bp = BatchProcess(abku2, LoadVector.all_in_one(64, 64), 30, seed=7)
+        bp = _fleet(abku2, LoadVector.all_in_one(64, 64), 30, seed=7)
         times = bp.recovery_times(4, max_steps=20000)
         assert (times > 0).all()
         # O(n ln n) band: comfortably under, say, 10 n ln n.
         assert np.median(times) < 10 * 64 * np.log(64)
 
     def test_recovery_zero_when_already_recovered(self, abku2):
-        bp = BatchProcess(abku2, LoadVector.balanced(16, 16), 4, seed=8)
+        bp = _fleet(abku2, LoadVector.balanced(16, 16), 4, seed=8)
         assert (bp.recovery_times(2, 10) == 0).all()
 
     def test_max_loads_shape(self, abku2):
-        bp = BatchProcess(abku2, LoadVector.balanced(8, 4), 6, seed=9)
+        bp = _fleet(abku2, LoadVector.balanced(8, 4), 6, seed=9)
         assert bp.max_loads().shape == (6,)
 
     def test_rejects_non_abku(self, adaptive_rule):
-        with pytest.raises(TypeError, match="ABKU"):
-            BatchProcess(adaptive_rule, LoadVector.balanced(4, 2), 2)
-
-    def test_rejects_bad_scenario(self, abku2):
-        with pytest.raises(ValueError):
-            BatchProcess(abku2, LoadVector.balanced(4, 2), 2, scenario="x")
+        # ADAP(χ) needs the sequential sampling loop: scalar path only.
+        with pytest.raises(TypeError, match="not vectorizable"):
+            _fleet(adaptive_rule, LoadVector.balanced(4, 2), 2)
 
     def test_deterministic(self, abku2):
-        a = BatchProcess(abku2, LoadVector.balanced(10, 5), 3, seed=11).run(100)
-        b = BatchProcess(abku2, LoadVector.balanced(10, 5), 3, seed=11).run(100)
+        a = _fleet(abku2, LoadVector.balanced(10, 5), 3, seed=11).run(100)
+        b = _fleet(abku2, LoadVector.balanced(10, 5), 3, seed=11).run(100)
         assert np.array_equal(a.loads, b.loads)
-
-    def test_repr(self, abku2):
-        assert "BatchProcess" in repr(
-            BatchProcess(abku2, LoadVector.balanced(4, 2), 2)
-        )
 
 
 class TestCustomRemoval:

@@ -107,12 +107,13 @@ class TestBatchLawProperties:
     @settings(max_examples=10, deadline=None)
     def test_batch_single_replica_is_lawful(self, seed):
         """A 1-replica batch run stays a valid Ω_m trajectory."""
-        from repro.balls.batch import BatchProcess
         from repro.balls.load_vector import LoadVector
         from repro.balls.rules import ABKURule
+        from repro.engine import VectorizedEngine, scenario_a_spec
 
-        bp = BatchProcess(
-            ABKURule(2), LoadVector.random(12, 6, seed), 1, seed=seed
+        bp = VectorizedEngine.make(
+            scenario_a_spec(ABKURule(2)), LoadVector.random(12, 6, seed), 1,
+            seed=seed,
         )
         for _ in range(50):
             bp.step()

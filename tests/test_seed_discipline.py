@@ -9,7 +9,6 @@ convention fails loudly here.
 import numpy as np
 import pytest
 
-from repro.balls.batch import BatchProcess
 from repro.balls.custom_removal import CustomRemovalProcess, weight_power
 from repro.balls.load_vector import LoadVector
 from repro.balls.open_system import OpenSystemProcess
@@ -27,6 +26,7 @@ from repro.coupling.grand import (
 from repro.edgeorient.batch import BatchEdgeProcess
 from repro.edgeorient.carpool import CarpoolSimulator
 from repro.edgeorient.greedy import EdgeOrientationProcess
+from repro.engine import VectorizedEngine, scenario_a_spec
 
 _RULE = ABKURule(2)
 
@@ -74,7 +74,7 @@ _ENTRY_POINTS = {
         lambda p: tuple(p.debts),
     ),
     "batch_balls": (
-        _run_process(lambda s: BatchProcess(_RULE, LoadVector.balanced(16, 8), 3, seed=s)),
+        _run_process(lambda s: VectorizedEngine.make(scenario_a_spec(_RULE), LoadVector.balanced(16, 8), 3, seed=s)),
         lambda p: tuple(map(tuple, p.loads.tolist())),
     ),
     "batch_edge": (

@@ -99,6 +99,43 @@ class TestOpenSystem:
             OpenSystemProcess(abku2, LoadVector.empty(3))
         )
 
+    @pytest.mark.parametrize("max_balls", [None, 24])
+    @pytest.mark.parametrize("removal", ["ball", "bin"])
+    def test_probed_snapshot_restores_onto_other_seed(
+        self, abku2, tmp_path, removal, max_balls
+    ):
+        """A mid-run snapshot continues bitwise on a differently seeded copy.
+
+        The chain probe's recovery envelope is pinned to the ball count
+        at probe creation; the restored copy must keep it, not re-derive
+        it from the ball count the run has drifted to.
+        """
+        from repro import obs
+        from repro.engine import ScalarEngine, open_spec
+        from repro.obs.probes import recovery_target
+
+        spec = open_spec(abku2, removal=removal, max_balls=max_balls)
+        with obs.observe_run(str(tmp_path / "r"), probe_every=5):
+            ref = ScalarEngine.make(spec, LoadVector.all_in_one(18, 6), seed=3)
+            ref.run(0)  # builds the probe at m = 18
+            pinned = ref._get_probe().monitors[0].threshold
+            assert pinned == recovery_target(6, 18)
+            ref.run(300)
+            saved = ref.state_dict()
+            assert "probe" in saved
+            restored = ScalarEngine.make(spec, LoadVector.empty(6), seed=99)
+            restored.load_state(saved)
+            assert recovery_target(6, restored.m) != pinned  # m has drifted
+            ref.run(200)
+            restored.run(200)
+        assert np.array_equal(restored.loads, ref.loads)
+        assert restored.loads.dtype == ref.loads.dtype
+        assert restored._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert restored.t == ref.t == 500
+        for proc in (ref, restored):
+            assert proc._get_probe().monitors[0].threshold == pinned
+        assert restored._get_probe().state_dict() == ref._get_probe().state_dict()
+
     def test_coupled_coalescence_zero_for_equal(self, abku2):
         t = coupled_open_coalescence(
             abku2, LoadVector.balanced(4, 4), LoadVector.balanced(4, 4), seed=0
