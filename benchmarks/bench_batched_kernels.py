@@ -1,17 +1,16 @@
-"""Batched multi-step kernels vs the per-step vectorized path.
+"""The vectorized engine's batched multi-step kernels.
 
-The paper-scale point of the raw-speed roadmap item: one (R, n) =
-(256, 10⁵) fleet — the n = 10⁵ Theorem 1 regime at campaign replica
-counts — advanced through ``run`` (one Python-level dispatch per
-phase) and through ``run_batched`` (pre-drawn RNG slab, fused ⊕/⊖
-passes, binary-search run boundaries, int32 layout).  The committed
-``BENCH_*.json`` from this module is the evidence that the batched
-path clears the ≥2× bar while the differential fuzz suite pins it
-bitwise to the reference.
+The paper-scale point: one (R, n) = (256, 10⁵) fleet — the n = 10⁵
+Theorem 1 regime at campaign replica counts — advanced through
+``run_batched`` (pre-drawn RNG slab, fused ⊕/⊖ edits, whole-fleet
+binary searches, int32 layout), the one stepping path every ``step``,
+``run`` and ``recovery_times`` call takes.  CI diffs its wall time
+against the committed paper-scale ``BENCH_*.json``; the differential
+fuzz suite pins the kernels bitwise to a row-by-row replay.
 
-A moderate-scale pair (n = 4096) rides along so CI's quick mode can
-watch the same ratio cheaply, plus the batched ``recovery_times``
-driver which is what campaigns actually call.
+A moderate-scale step (n = 4096) rides along for CI's quick mode, plus
+the batched ``recovery_times`` driver which is what campaigns actually
+call.
 """
 
 from repro.balls.load_vector import LoadVector
@@ -29,22 +28,10 @@ def _fleet(n: int, *, seed: int = 7) -> VectorizedProcess:
     return VectorizedProcess(spec, LoadVector.all_in_one(n, n), R, seed=seed)
 
 
-def test_bench_paper_scale_step_unbatched(benchmark):
-    bp = _fleet(N_PAPER)
-    bp.run(2)  # past the first-step cold caches
-    benchmark.pedantic(lambda: bp.run(STEPS), rounds=3)
-
-
 def test_bench_paper_scale_step_batched(benchmark):
     bp = _fleet(N_PAPER)
-    bp.run_batched(2, batch=2)  # triggers int32 narrowing + scratch alloc
+    bp.run_batched(2, batch=2)  # past the first-step cold caches
     benchmark.pedantic(lambda: bp.run_batched(STEPS, batch=STEPS), rounds=3)
-
-
-def test_bench_mid_scale_step_unbatched(benchmark):
-    bp = _fleet(N_MID)
-    bp.run(2)
-    benchmark(lambda: bp.run(STEPS))
 
 
 def test_bench_mid_scale_step_batched(benchmark):

@@ -14,10 +14,9 @@ chunked scalar measurement at a given cadence, and a fleet-shard
 commit.
 """
 
-import time
-
 import numpy as np
 import pytest
+from conftest import paired_overhead_ratio
 
 from repro import obs
 from repro.checkpoint.store import save_checkpoint, write_json_npz
@@ -35,34 +34,6 @@ def _obs_off():
     yield
     obs.disable()
     obs.set_probe_interval(0)
-
-
-def _best_of(fn, repeats=7):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _best_of_interleaved(fa, fb, repeats=9):
-    """Best-of for two rivals with alternating samples.
-
-    Alternation decorrelates slow drift (thermal throttling, a noisy
-    neighbor) from the A-vs-B comparison: both sides sample the same
-    machine conditions, so the best-of ratio stays honest on shared
-    runners.
-    """
-    ta = tb = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fa()
-        ta = min(ta, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fb()
-        tb = min(tb, time.perf_counter() - t0)
-    return ta, tb
 
 
 def test_bench_save_checkpoint(benchmark, tmp_path):
@@ -159,8 +130,7 @@ def test_save_every_zero_overhead_ratio(capsys, tmp_path):
 
     bare()  # warmup
     driven()
-    t_bare, t_driven = _best_of_interleaved(bare, driven)
-    ratio = t_driven / t_bare
+    ratio, t_bare, t_driven = paired_overhead_ratio(bare, driven)
     with capsys.disabled():
         print(
             f"\nsave_every=0 overhead: bare {1e3 * t_bare:.1f} ms, "

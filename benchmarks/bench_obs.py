@@ -8,14 +8,16 @@ disabled, metrics-only, and a fully observed run (registry + tracer +
 JSONL recorder) — plus the micro-costs of the individual primitives.
 
 ``test_disabled_overhead_ratio`` prints the measured disabled-path
-ratio directly (best-of timing of ``run(CHUNK)`` against a raw
-``step()`` loop), which is the number quoted in docs/PERFORMANCE.md.
+ratio directly (the median of interleaved ``run(CHUNK)`` / raw
+``step()`` loop pairs, :func:`conftest.paired_overhead_ratio`), which
+is the number quoted in docs/PERFORMANCE.md.
 """
 
 import time
 
 import numpy as np
 import pytest
+from conftest import paired_overhead_ratio
 
 from repro import obs
 from repro.balls.load_vector import LoadVector
@@ -179,15 +181,6 @@ def _bus_overhead_item(item, seed_seq):
     return acc + item
 
 
-def _best_of(fn, repeats=7):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def test_disabled_overhead_ratio(capsys):
     """Measure run() (guarded) against a raw step() loop, obs disabled.
 
@@ -206,9 +199,7 @@ def test_disabled_overhead_ratio(capsys):
     def guarded():
         proc.run(CHUNK)
 
-    t_raw = _best_of(raw)
-    t_guarded = _best_of(guarded)
-    ratio = t_guarded / t_raw
+    ratio, t_raw, t_guarded = paired_overhead_ratio(raw, guarded)
     with capsys.disabled():
         print(
             f"\nobs disabled overhead: raw step loop {1e6 * t_raw / CHUNK:.2f} us/phase, "
@@ -241,16 +232,7 @@ def test_bus_disabled_overhead_ratio(capsys):
         )
 
     assert raw() == mapped()  # warmup + equivalence
-    # Interleave the rounds so clock drift hits both sides equally.
-    t_raw = t_map = float("inf")
-    for _ in range(9):
-        t0 = time.perf_counter()
-        raw()
-        t_raw = min(t_raw, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        mapped()
-        t_map = min(t_map, time.perf_counter() - t0)
-    ratio = t_map / t_raw
+    ratio, t_raw, t_map = paired_overhead_ratio(raw, mapped)
     with capsys.disabled():
         print(
             f"\nbus disabled overhead: raw loop {1e3 * t_raw:.2f} ms, "
@@ -260,30 +242,29 @@ def test_bus_disabled_overhead_ratio(capsys):
 
 
 def test_probes_disabled_overhead_ratio(capsys):
-    """Probes-off vectorized throughput vs the raw step loop.
+    """Probes-off vectorized throughput vs the raw segment kernel.
 
     The probe branch in ``VectorizedProcess.run`` must stay zero-cost
     when ``probe_interval() == 0`` (the default): one integer read per
-    ``run()`` call, nothing per phase.  This is the 5% acceptance gate
-    for the probe subsystem.
+    ``run()`` call, nothing per phase.  The raw side calls ``_advance``
+    over the segments ``run()`` cuts (two of 128 phases), so the ratio
+    prices the guard, not the segment length.  This is the 5%
+    acceptance gate for the probe subsystem.
     """
     proc = _make_fleet(3)
     proc.run(VEC_CHUNK)  # warmup
 
     def raw():
-        step = proc.step
-        for _ in range(VEC_CHUNK):
-            step()
+        proc._advance(VEC_CHUNK // 2)
+        proc._advance(VEC_CHUNK // 2)
 
     def guarded():
         proc.run(VEC_CHUNK)
 
-    t_raw = _best_of(raw)
-    t_guarded = _best_of(guarded)
-    ratio = t_guarded / t_raw
+    ratio, t_raw, t_guarded = paired_overhead_ratio(raw, guarded)
     with capsys.disabled():
         print(
-            f"\nprobes disabled overhead: raw step loop "
+            f"\nprobes disabled overhead: raw _advance "
             f"{1e6 * t_raw / VEC_CHUNK:.2f} us/phase, guarded run() "
             f"{1e6 * t_guarded / VEC_CHUNK:.2f} us/phase, ratio {ratio:.4f}"
         )

@@ -17,13 +17,48 @@ the perf trajectory.
 Setting ``REPRO_BENCH_PROFILE=<dir>`` wraps each experiment bench in
 :func:`repro.obs.profile.profiled`, dropping one ``.pstats`` per
 experiment into that directory and printing the top self-time table.
+
+:func:`paired_overhead_ratio` is the one estimator behind every
+``< 1.05`` overhead gate.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
+import time
 
 import pytest
+
+
+#: Interleaved (raw, guarded) pairs per overhead gate.
+OVERHEAD_PAIRS = 15
+
+
+def paired_overhead_ratio(raw, guarded):
+    """Median of per-pair ``guarded / raw`` wall-time ratios.
+
+    Each pair times both callables back to back, alternating which
+    goes first, so host-speed drift between pairs cancels inside each
+    ratio and neither side always runs on the warmer cache.  Returns
+    ``(ratio, t_raw, t_guarded)``, the last two the per-side median
+    times in seconds, for the gate's printout.
+    """
+    t_raw: list[float] = []
+    t_guarded: list[float] = []
+    ratios = []
+    for i in range(OVERHEAD_PAIRS):
+        sides = [(raw, t_raw), (guarded, t_guarded)]
+        for fn, out in sides if i % 2 == 0 else sides[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+        ratios.append(t_guarded[-1] / t_raw[-1])
+    return (
+        statistics.median(ratios),
+        statistics.median(t_raw),
+        statistics.median(t_guarded),
+    )
 
 
 def run_experiment_bench(benchmark, experiment_id: str, seed: int = 0):

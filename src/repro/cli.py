@@ -208,15 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
                    "replaying their shards from the fleet checkpoint "
                    "(needs --save-every K > 0 and --processes > 1)")
     p.add_argument("--batch", type=int, default=1, metavar="T",
-                   help="vectorized engine: advance fleets T steps per "
-                   "Python-level call through the batched kernels "
-                   "(identical times/telemetry/checkpoints; default 1 = "
-                   "unbatched reference loop)")
+                   help="vectorized engine: advance fleets up to T steps "
+                   "per kernel call (identical times/telemetry/checkpoints "
+                   "at every T; default 1; must be >= 1)")
 
     p = sub.add_parser(
         "fuzz",
-        help="differential engine fuzzing: batched-vs-unbatched bitwise, "
-        "scalar-vs-vectorized KS, replay (tests/fuzzkit harness)",
+        help="differential engine fuzzing: batched kernels vs a row-by-row "
+        "replay (bitwise), scalar-vs-vectorized KS, replay (tests/fuzzkit "
+        "harness)",
     )
     p.add_argument("--budget", type=int, default=50, metavar="N",
                    help="sampled configurations in grid mode (default 50)")
@@ -588,13 +588,11 @@ def _print_campaign_summary(summary: dict) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.experiments.campaign import default_campaign_dir, run_campaign
+    from repro.checkpoint.campaign import run_checkpointed_campaign
+    from repro.experiments.campaign import campaign_config, default_campaign_dir
 
-    out = args.out or default_campaign_dir()
-    print(f"campaign run dir: {out}")
-    print(f"  watch live:  python -m repro obs watch {out}")
     try:
-        summary = run_campaign(
+        config = campaign_config(
             n=args.n,
             m=args.m,
             d=args.d,
@@ -607,13 +605,17 @@ def _cmd_campaign(args) -> int:
             probe_every=args.probe_every,
             heartbeat_s=args.heartbeat_s,
             seed=args.seed,
-            out=out,
             trace=args.trace,
             save_every=args.save_every,
             eps=args.eps,
             restart_lost=args.restart_lost,
             batch=args.batch,
         )
+        # Only a validated campaign advertises its run directory.
+        out = args.out or default_campaign_dir()
+        print(f"campaign run dir: {out}")
+        print(f"  watch live:  python -m repro obs watch {out}")
+        summary = run_checkpointed_campaign(out, config=config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -685,8 +687,9 @@ def _cmd_engines(args) -> int:
     print(
         "\nyes = the engine executes the spec; no = rejected with the "
         "reason shown.\nscalar is the reference path (always available); "
-        "see docs/ENGINES.md.\nbatched kernel = the run_batched fast "
-        "path a vectorizable spec takes (bitwise equal to run)."
+        "see docs/ENGINES.md.\nbatched kernel = the segment kernel a "
+        "vectorizable spec advances on (every run, step and "
+        "recovery_times call)."
     )
     return 0
 

@@ -88,13 +88,13 @@ def engine_support(spec: ProcessSpec) -> dict[str, tuple[bool, str]]:
 
 
 def batched_kernel(spec: ProcessSpec) -> tuple[bool, str]:
-    """Which ``run_batched`` fast path *spec* takes (``repro engines``).
+    """The segment kernel *spec*'s vectorized fleets run on (``repro engines``).
 
-    Returns ``(vectorizable, how)``.  Every vectorizable spec accepts
-    ``run_batched`` (the results are bitwise those of ``run``), but the
-    kernel differs by step shape: closed/open sequential specs advance
-    on one pre-drawn RNG slab with fused ⊕/⊖ passes, while synchronous
-    (RBB) specs keep their per-step scatter draw — its size Σ s_r is
+    Returns ``(vectorizable, how)``.  Every vectorized ``step``, ``run``
+    and ``recovery_times`` call runs through the same kernels, which
+    differ by step shape: closed/open sequential specs advance on one
+    pre-drawn RNG slab with fused ⊕/⊖ passes, while synchronous (RBB)
+    specs keep their per-step scatter draw — its size Σ s_r is
     state-dependent, so only the Python dispatch is batched.  For a
     rejected spec *how* is the vectorized engine's reason.
     """

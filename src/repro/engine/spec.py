@@ -200,9 +200,10 @@ class RemovalLaw(ABC):
         its flat cumsum buffer, and its search key, which must be
         current.  Must return exactly the indices of
         :meth:`quantile_batch` — the differential harness pins the
-        batched path to the unbatched one bitwise, so implementations
-        may only change *how* the indices are found, never their values.
-        The base class falls back to the allocating path.
+        kernels bitwise to a row-by-row replay through :meth:`quantile`,
+        so implementations may only change *how* the indices are found,
+        never their values.  The base class falls back to the allocating
+        path.
         """
         return self.quantile_batch(V if rows is None else V[rows], u)
 

@@ -10,14 +10,12 @@ by a wide margin for the R ~ 10²–10⁴ used in experiments.
 
 The Fact 3.2 updates vectorize through counting comparisons: in a
 descending row, the *first* index of the value-v run is ``#{entries >
-v}`` and the *last* is ``#{entries ≥ v} − 1``.  The per-step path
-(:meth:`VectorizedProcess.step`) counts with O(R·n) comparison scans;
-the batched kernels (:meth:`VectorizedProcess.run_batched`) answer the
-same counts for every row at once with one binary search over a flat
-ascending key of the whole fleet (:class:`FleetSearch`), which lands
-on the flat position of each edit directly.  The two paths share no
-search code, so the scan path stays an independent oracle for the
-differential harness.
+v}`` and the *last* is ``#{entries ≥ v} − 1``.  One stepping path,
+:meth:`VectorizedProcess._advance`, moves a fleet (``step``, ``run``
+and ``recovery_times`` cut its phases into segments): its kernels
+answer those counts for every row at once with one binary search over
+a flat ascending key of the whole fleet (:class:`FleetSearch`), which
+lands on the flat position of each edit directly.
 
 What vectorizes — and what cannot:
 
@@ -44,9 +42,14 @@ What vectorizes — and what cannot:
   loop.  Requires a load-independent insertion law (same eligibility
   as the inverse-transform insertion path).
 
-Cross-validated against the scalar engine distributionally (KS tests in
-the engine-parity suite); replicas consume randomness differently from
-scalar runs, so trajectories are not bit-identical by design.
+A sequential segment of T phases draws one uniform slab
+``rng.random((T, k, R))`` (k = 2 closed, 4 with relocation, 3 open),
+so the trajectory does not depend on how phases are cut into segments,
+and :func:`repro.verify.differential.replay_rows` replays each replica
+bitwise on a plain row through the scalar Fact 3.2 primitives, sharing
+no search code with the kernels.  The scalar engine draws in its own
+order, so scalar-vs-vectorized parity is distributional (KS tests in
+the engine-parity suite).
 """
 
 from __future__ import annotations
@@ -129,8 +132,6 @@ def _counts_desc(
     row r, and every earlier row's keys lie below the needle, so the
     ⊖ edit (last index of the value-x run) is the ``'right'`` result −
     1 and the ⊕ edit (first index) is the ``'left'`` result itself.
-    Integer comparisons, so the positions are bitwise those of the
-    per-step comparison scans.
     """
     return np.searchsorted(fleet.key, fleet.needles(rows, vals), side=side)
 
@@ -156,23 +157,33 @@ class VectorizedProcess:
         self.rule = spec.rule
         self._law = spec.removal
         self._rng = as_generator(seed)
-        self._V = np.tile(start.loads, (replicas, 1)).astype(np.int64)
         self._m = int(start.m)
         if spec.kind == "closed" and self._m < 1:
             raise ValueError("need at least one ball")
         self._check_rows(start.loads[None, :])
+        # Loads narrow to int32 when the ball-count bound proves they
+        # fit, halving the memory traffic of the whole-fleet passes;
+        # :meth:`state_dict` re-canonicalizes to int64.
+        bound = self._bound()
+        narrow = bound is not None and bound < np.iinfo(np.int32).max
+        self._V = np.tile(start.loads, (replicas, 1)).astype(
+            np.int32 if narrow else np.int64
+        )
         self._R = replicas
         self._n = start.n
         self._rows = np.arange(replicas)
         self._t = 0
         self.relocations = 0
         # Synchronous specs scatter against a fixed insertion pmf
-        # (supports() guarantees the rule is load-independent).
+        # (supports() guarantees the rule is load-independent); the
+        # sequential kernels search and write into FleetSearch scratch.
         self._q: np.ndarray | None = None
         if spec.step.synchronous:
             self._q = spec.rule.insertion_distribution(
                 np.zeros(self._n, dtype=np.int64)
             )
+        else:
+            self._fleet = FleetSearch(replicas, self._n, bound)
 
     # -- state access ---------------------------------------------------------
 
@@ -216,54 +227,11 @@ class VectorizedProcess:
             out[i] = float((self._V >= i).mean())
         return out
 
-    # -- vectorized Fact 3.2 primitives ---------------------------------------
-
-    def _decrement(self, rows: np.ndarray, idx: np.ndarray) -> None:
-        """Row-wise v ⊖ e_idx: −1 at the last index of each value-run.
-
-        The whole-fleet case (rows is the identity) works on ``_V``
-        in place; a fancy-indexed ``_V[rows]`` there would copy the full
-        (R, n) matrix per call and dominate the step cost.
-        """
-        if rows is self._rows:
-            V = self._V
-            vals = V[rows, idx]
-            pos = (V >= vals[:, None]).sum(axis=1) - 1
-            V[rows, pos] -= 1
-            return
-        sub = self._V[rows]
-        vals = sub[np.arange(rows.shape[0]), idx]
-        pos = (sub >= vals[:, None]).sum(axis=1) - 1
-        self._V[rows, pos] -= 1
-
-    def _increment(self, rows: np.ndarray, idx: np.ndarray) -> None:
-        """Row-wise v ⊕ e_idx: +1 at the first index of each value-run."""
-        if rows is self._rows:
-            V = self._V
-            vals = V[rows, idx]
-            pos = (V > vals[:, None]).sum(axis=1)
-            V[rows, pos] += 1
-            return
-        sub = self._V[rows]
-        vals = sub[np.arange(rows.shape[0]), idx]
-        pos = (sub > vals[:, None]).sum(axis=1)
-        self._V[rows, pos] += 1
-
-    def _insertion_indices(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-transform insertion indices (load-independent rules only)."""
-        return self.rule.insertion_quantile_batch(self._n, u)
-
     # -- stepping ---------------------------------------------------------------
 
     def step(self) -> None:
         """Advance every replica by one phase."""
-        if self._q is not None:
-            self._step_synchronous()
-        elif self.spec.kind == "closed":
-            self._step_closed()
-        else:
-            self._step_open()
-        self._t += 1
+        self._advance(1)
 
     def _step_synchronous(self) -> None:
         """One RBB step for the whole fleet: release, scatter, re-sort.
@@ -289,7 +257,9 @@ class VectorizedProcess:
         # every step (~150k minor faults in one campaign_rbb run instead
         # of a few hundred).
         if total > 0:
-            flat = self._insertion_indices(self._rng.random(total))
+            flat = self.rule.insertion_quantile_batch(
+                self._n, self._rng.random(total)
+            )
             flat += np.repeat(self._rows * self._n, s)
             V += np.bincount(flat, minlength=self._R * self._n).reshape(
                 self._R, self._n
@@ -298,87 +268,20 @@ class VectorizedProcess:
         V.sort(axis=1)
         np.negative(V, out=V)
 
-    def _step_closed(self) -> None:
-        rng = self._rng
-        rows = self._rows
-        # Remove: every law batches through its shared-quantile inversion.
-        rm_idx = self._law.quantile_batch(self._V, rng.random(self._R))
-        self._decrement(rows, rm_idx)
-        # Place: inverse-transform insertion.
-        self._increment(rows, self._insertion_indices(rng.random(self._R)))
-        # Optional relocation: fullest bin → rule-selected target, only
-        # in rows that pass the coin and the gap-≥-2 condition.
-        p = self.spec.p_relocate
-        if p > 0:
-            coin = rng.random(self._R) < p
-            target = self._insertion_indices(rng.random(self._R))
-            gap_ok = (self._V[rows, 0] - self._V[rows, target]) >= 2
-            sel = np.nonzero(coin & gap_ok)[0]
-            if sel.size:
-                self._decrement(sel, np.zeros(sel.size, dtype=np.int64))
-                self._increment(sel, target[sel])
-                self.relocations += int(sel.size)
-
-    def _step_open(self) -> None:
-        # Fair coin per replica; removal on the empty state and
-        # insertion at the cap are row-wise no-ops (§7 semantics).
-        rng = self._rng
-        coin = rng.random(self._R) < 0.5
-        u_rm = rng.random(self._R)
-        u_in = rng.random(self._R)
-        counts = self._V.sum(axis=1)
-        rm_rows = np.nonzero(coin & (counts > 0))[0]
-        if rm_rows.size:
-            rm_idx = self._law.quantile_batch(self._V[rm_rows], u_rm[rm_rows])
-            self._decrement(rm_rows, rm_idx)
-        ins_mask = ~coin
-        if self.spec.max_balls is not None:
-            ins_mask &= counts < self.spec.max_balls
-        ins_rows = np.nonzero(ins_mask)[0]
-        if ins_rows.size:
-            idx = self._insertion_indices(u_in[ins_rows])
-            self._increment(ins_rows, idx)
-
-    # -- batched multi-step kernels --------------------------------------------
-
-    def _ensure_batch_ready(self) -> None:
-        """One-time setup for the batched fast path.
-
-        Narrows the load matrix to int32 when the ball-count bound
-        proves every load fits — halving the memory traffic of the
-        whole-fleet passes that dominate at paper scale — and, for the
-        sequential shapes, allocates the :class:`FleetSearch` scratch
-        the fused kernels search and write into, so the hot loop
-        allocates no (R, n) intermediates at all.  Loads are identical
-        integers in either width, so downstream arithmetic (always at
-        least int64/float64) is value-identical; :meth:`state_dict`
-        re-canonicalizes to int64, keeping checkpoints interchangeable
-        with the unbatched path.
-        """
-        if getattr(self, "_batch_ready", False):
-            return
-        bound = self._bound()
-        if bound is not None and bound < np.iinfo(np.int32).max:
-            self._V = np.ascontiguousarray(self._V, dtype=np.int32)
-        if self._q is None:
-            self._fleet = FleetSearch(self._R, self._n, bound)
-        self._batch_ready = True
-
     def _bound(self) -> int | None:
         """Cap on every row sum, hence every load (None: unbounded open)."""
         return self._m if self.spec.kind == "closed" else self.spec.max_balls
 
     def _advance(self, T: int, hist: np.ndarray | None = None) -> None:
-        """Advance the fleet T phases with no per-step Python dispatch.
+        """Advance the fleet one segment of T phases: the one stepping path.
 
-        Bitwise identical to T calls of :meth:`step`: the sequential
-        shapes pre-draw the segment's whole uniform stream in one RNG
-        call (row-for-row the same doubles the per-step draws produce)
-        and run the fused kernels; the synchronous shape keeps its
-        per-step draw (the scatter size Σ s_r is state-dependent) but
-        still skips the dispatch tower.  When *hist* is given (shape
-        (T, R)), row i receives the per-replica max load after phase i
-        — what the batched ``recovery_times`` scans for hitting times.
+        The sequential shapes pre-draw the segment's whole uniform
+        stream in one ``rng.random((T, k, R))`` call and run the fused
+        kernels, so any cut of a run into segments consumes the same
+        doubles; the synchronous shape draws per step (the scatter size
+        Σ s_r is state-dependent).  When *hist* is given (shape (T, R)),
+        row i receives the per-replica max load after phase i — what
+        ``recovery_times`` scans for hitting times.
         """
         if self._q is not None:
             for i in range(T):
@@ -535,8 +438,8 @@ class VectorizedProcess:
         fleet probe exists — its estimator/monitor state.
         """
         state: dict = {
-            # Canonical int64 regardless of the live width, so batched
-            # and unbatched runs write interchangeable checkpoints.
+            # Canonical int64 whatever the live width (int32 for
+            # bounded fleets), so checkpoints do not depend on it.
             "V": self._V.astype(np.int64, copy=True),
             "rng": self._rng.bit_generator.state,
             "t": self._t,
@@ -597,45 +500,24 @@ class VectorizedProcess:
 
     def run(self, steps: int) -> "VectorizedProcess":
         """Advance all replicas *steps* phases; returns self."""
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
-        if not obs.enabled():
-            for _ in range(steps):
-                self.step()
-            return self
-        with obs.span("batch/run", steps=steps, replicas=self._R,
-                      spec=self.spec.name):
-            every = obs.probe_interval()
-            if every > 0:
-                probe = self._get_probe()
-                for _ in range(steps):
-                    self.step()
-                    if self._t % every == 0:
-                        probe.observe(self._t, self._V)
-            else:
-                for _ in range(steps):
-                    self.step()
-        self._obs_account(steps)
-        return self
+        return self.run_batched(steps)
 
     def run_batched(self, steps: int, *, batch: int = 128) -> "VectorizedProcess":
         """Advance all replicas *steps* phases, *batch* per Python call.
 
-        The fast path of the raw-speed roadmap item: identical fleet
-        trajectory to :meth:`run` — same RNG stream, same probe
-        emissions — but the per-step Python dispatch collapses into one
-        :meth:`_advance` call per segment, with the segment's uniforms
-        pre-drawn in a single RNG call and the ⊕/⊖ passes fused into
-        reusable scratch (no (R, n) intermediates).  Segments are cut at
-        probe-decimation boundaries (:func:`repro.obs.probes.probe_cut`)
-        so observed runs emit the exact decimated sequence the unbatched
-        loop does.  The differential harness (``tests/test_engine_fuzz``)
-        pins ``run_batched`` to ``run`` bitwise per replica.
+        One :meth:`_advance` call per segment of at most *batch* phases,
+        with the segment's uniforms pre-drawn in a single RNG call and
+        the ⊕/⊖ edits fused into reusable scratch (no (R, n)
+        intermediates).  The trajectory does not depend on *batch*.
+        Segments are cut at probe-decimation boundaries
+        (:func:`repro.obs.probes.probe_cut`), so observed runs emit the
+        same decimated probe sequence at every *batch*.  The
+        differential harness (:mod:`repro.verify.differential`) pins
+        the result bitwise to a row-by-row replay of the same slab.
         """
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
         batch = check_positive_int("batch", batch)
-        self._ensure_batch_ready()
         if not obs.enabled():
             left = steps
             while left > 0:
@@ -683,20 +565,24 @@ class VectorizedProcess:
         because this loop accounts once at the end with the absolute
         ``executed`` count.
 
-        *batch* > 1 routes through the batched kernels: the fleet
-        advances in segments cut at every probe and ``save_every``
-        boundary, and the per-step hitting-time scan runs over the
-        segment's max-load history — artifact-for-artifact identical
-        to ``batch=1`` (same ``times``, same ``timeseries.jsonl``
-        bytes, same committed checkpoints).  The one visible
-        difference is crash granularity: save *opportunities* (where
-        ``REPRO_CRASH_AT=step:K`` may fire) exist only at segment
-        boundaries, so an injected kill lands at the first boundary
-        ≥ K instead of exactly K.  After whole-fleet recovery
-        mid-segment the matrix and RNG sit a few phases past the
-        hitting step; that overshoot is unobservable — no probe,
+        *batch* (≥ 1) caps the segment length: the fleet advances
+        through :meth:`_advance` in segments cut at every probe and
+        ``save_every`` boundary, and the per-step hitting-time scan runs
+        over the segment's max-load history.  Segment ends are the only
+        steps where the full matrix is needed (probe snapshots,
+        checkpoint payloads); everything per-step — hitting times,
+        power-of-two records — replays from that history.  Every
+        *batch* gives the same ``times``, ``timeseries.jsonl`` bytes and
+        committed checkpoints; at ``batch=1`` every step is a segment
+        end.  The one visible difference is crash granularity: save
+        *opportunities* (where ``REPRO_CRASH_AT=step:K`` may fire) exist
+        only at segment boundaries, so an injected kill lands at the
+        first boundary ≥ K instead of exactly K.  After whole-fleet
+        recovery mid-segment the matrix and RNG sit a few phases past
+        the hitting step; that overshoot is unobservable — no probe,
         record or checkpoint is emitted past it.
         """
+        batch = check_positive_int("batch", batch)
         observing = obs.enabled()
         every = obs.probe_interval() if observing else 0
         probe = self._get_probe(target_max_load) if every > 0 else None
@@ -711,75 +597,7 @@ class VectorizedProcess:
             times[done] = 0
             executed = 0
             k0 = 0
-        if batch > 1:
-            return self._recovery_times_batched(
-                target_max_load, max_steps, batch, times=times, done=done,
-                executed=executed, k0=k0, observing=observing, every=every,
-                probe=probe, checkpointer=checkpointer,
-            )
-        for k in range(k0 + 1, max_steps + 1):
-            if done.all():
-                break
-            self.step()
-            executed = k
-            newly = (~done) & (self._V[:, 0] <= target_max_load)
-            times[newly] = k
-            done |= newly
-            if probe is not None and k % every == 0:
-                probe.observe(self._t, self._V)
-            if observing and (k & (k - 1)) == 0:
-                obs.record_sample("batch/recovered_fraction", k, float(done.mean()))
-                obs.record_sample(
-                    "batch/max_load_mean", k, float(self._V[:, 0].mean())
-                )
-            if checkpointer is not None:
-                checkpointer.maybe_save(
-                    k,
-                    lambda: {
-                        "engine": self.state_dict(),
-                        "loop": {
-                            "k": k,
-                            "executed": executed,
-                            "times": times.copy(),
-                            "done": done.copy(),
-                        },
-                    },
-                )
-        if observing:
-            self._obs_account(executed)
-            obs.record_sample(
-                "batch/recovered_fraction", executed, float(done.mean())
-            )
-        return times
-
-    def _recovery_times_batched(
-        self,
-        target_max_load: int,
-        max_steps: int,
-        batch: int,
-        *,
-        times: np.ndarray,
-        done: np.ndarray,
-        executed: int,
-        k0: int,
-        observing: bool,
-        every: int,
-        probe,
-        checkpointer,
-    ) -> np.ndarray:
-        """The ``batch > 1`` body of :meth:`recovery_times`.
-
-        Segment ends are the only steps where the full matrix is
-        needed (probe snapshots, checkpoint payloads), so segments are
-        cut there; everything per-step — hitting times, power-of-two
-        records — replays from the (T, R) max-load history, in the
-        unbatched loop's exact emission order.
-        """
-        self._ensure_batch_ready()
-        save_every = (
-            int(getattr(checkpointer, "save_every", 0) or 0)
-            if checkpointer is not None else 0
-        )
+        save_every = int(getattr(checkpointer, "save_every", 0) or 0)
         hist = np.empty((batch, self._R), dtype=self._V.dtype)
         k = k0
         while k < max_steps and not done.all():
@@ -818,8 +636,8 @@ class VectorizedProcess:
                 completed_at is None or completed_at == end
             ):
                 # Mid-segment completion skips the boundary offer: the
-                # unbatched loop never reaches it either, and the live
-                # state past the hitting step must not be snapshotted.
+                # live state past the hitting step must not be
+                # snapshotted.
                 snap = executed
                 checkpointer.maybe_save(
                     snap,

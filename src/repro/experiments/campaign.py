@@ -19,8 +19,8 @@ processes)``).  The finished ``timeseries.jsonl`` is canonicalized at
 finalization, so a re-run with the same seed and process count is
 byte-identical.
 
-:func:`run_campaign` validates its arguments, fills the defaults and
-hands the config record to
+:func:`campaign_config` validates the arguments and builds the config
+record; :func:`run_campaign` hands that record to
 :func:`~repro.checkpoint.campaign.run_checkpointed_campaign`, the one
 campaign driver: checkpointed or not, every engine and every
 ``save_every`` cadence runs through it.
@@ -34,8 +34,9 @@ import time
 from repro.analysis.recovery_measure import CAMPAIGN_SCENARIOS
 from repro.checkpoint.campaign import run_checkpointed_campaign
 from repro.utils.rng import SeedLike
+from repro.utils.validation import check_positive_int
 
-__all__ = ["run_campaign", "default_campaign_dir"]
+__all__ = ["campaign_config", "run_campaign", "default_campaign_dir"]
 
 
 def default_campaign_dir(runs_dir: str = "runs") -> str:
@@ -49,7 +50,7 @@ def default_campaign_dir(runs_dir: str = "runs") -> str:
     return out
 
 
-def run_campaign(
+def campaign_config(
     *,
     n: int = 64,
     m: int | None = None,
@@ -63,20 +64,18 @@ def run_campaign(
     probe_every: int = 50,
     heartbeat_s: float | None = None,
     seed: SeedLike = 0,
-    out: str | None = None,
     trace: bool = False,
     save_every: int = 0,
     eps: float = 0.25,
     restart_lost: int = 0,
     batch: int = 1,
 ) -> dict:
-    """Run one observed, parallel crash-recovery campaign.
+    """Validate a campaign's arguments and build its config record.
 
-    Starts every replica from the all-in-one crash state and measures
-    the hitting time of max load ≤ *target* (default:
-    :func:`~repro.obs.probes.recovery_target`).  Returns a summary dict
-    with the run directory, the per-replica times, and the fleet
-    quantiles; the full telemetry lives in ``<run_dir>/``.
+    Raises ``ValueError`` naming the reason before anything is written.
+    The campaign starts every replica from the all-in-one crash state
+    and measures the hitting time of max load ≤ *target* (default:
+    :func:`~repro.obs.probes.recovery_target`).
 
     ``save_every > 0`` turns on checkpointing (see
     :mod:`repro.checkpoint`): the run commits atomic
@@ -98,9 +97,10 @@ def run_campaign(
     rule then follows :func:`~repro.analysis.recovery_measure.campaign_rule`
     and *d* only matters for the two-choice flavors.
 
-    *batch* > 1 (``--batch``, vectorized engine only) advances each
-    fleet through the batched multi-step kernels — same times, same
-    telemetry bytes, same checkpoints; just fewer Python-level steps.
+    *batch* (``--batch``) is the longest segment a vectorized fleet
+    advances per kernel call — same times, same telemetry bytes, same
+    checkpoints at every value; just fewer Python-level calls.  It
+    must be ≥ 1, and > 1 only on the vectorized engine.
     """
     if scenario not in CAMPAIGN_SCENARIOS:
         raise ValueError(
@@ -118,13 +118,19 @@ def run_campaign(
             "save_every > 0 needs an int or None seed (the checkpoint "
             f"stores it as JSON), got {type(seed).__name__}"
         )
+    batch = check_positive_int("batch", batch)
+    if batch > 1 and engine != "vectorized":
+        raise ValueError(
+            f"batch={batch} needs engine='vectorized': the {engine} engine "
+            "has no segment kernels and steps one phase at a time"
+        )
     if m is None:
         m = n
     if target is None:
         from repro.obs.probes import recovery_target
 
         target = recovery_target(n, m)
-    config = {
+    return {
         "n": n,
         "m": m,
         "d": d,
@@ -141,6 +147,17 @@ def run_campaign(
         "save_every": int(save_every),
         "eps": float(eps),
         "restart_lost": int(restart_lost),
-        "batch": int(batch),
+        "batch": batch,
     }
-    return run_checkpointed_campaign(out or default_campaign_dir(), config=config)
+
+
+def run_campaign(*, out: str | None = None, **kwargs) -> dict:
+    """Run one observed, parallel crash-recovery campaign into *out*.
+
+    Takes :func:`campaign_config`'s keyword arguments.  Returns a
+    summary dict with the run directory, the per-replica times, and the
+    fleet quantiles; the full telemetry lives in ``<run_dir>/``.
+    """
+    return run_checkpointed_campaign(
+        out or default_campaign_dir(), config=campaign_config(**kwargs)
+    )

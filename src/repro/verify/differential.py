@@ -1,23 +1,28 @@
 """Differential engine fuzzing: the harness that makes perf rewrites safe.
 
-The batched multi-step kernels (:meth:`VectorizedProcess.run_batched`
-and the ``batch > 1`` ``recovery_times``) promise *bitwise* the same
-trajectories as the reference loops — a promise no hand-picked test
-case can certify.  This module certifies it by sampling randomized
-configurations (spec × shape × seed × horizon × batch × probe
-decimation × checkpoint cadence) and running differential checks over
-each:
+The vectorized engine moves every fleet through one set of batched
+kernels (:meth:`VectorizedProcess._advance`), and they promise
+*bitwise* the trajectory of the paper's row-by-row process on the
+documented uniform slab, whatever the segment length — a promise no
+hand-picked test case can certify.  This module certifies it by
+sampling randomized configurations (spec × shape × seed × horizon ×
+batch × probe decimation × checkpoint cadence) and running
+differential checks over each:
 
-* ``batched`` — ``run(T)`` vs ``run_batched(T, batch)`` on twin fleets
-  with the same seed: load matrix, RNG stream position, step counter
-  and relocation counter must match exactly;
+* ``batched`` — ``run_batched(T, batch)`` vs :func:`replay_rows`, a
+  replay of the same slab one replica at a time on a plain int64 row
+  through the scalar Fact 3.2 primitives (sequential specs), or vs
+  ``batch=1`` (synchronous specs, whose scatter size depends on the
+  state): load matrix, RNG stream position, step counter and
+  relocation counter must match exactly;
 * ``replay`` — a mid-run :meth:`state_dict` snapshot restored onto a
   fresh fleet and continued with a *different* batch length must land
   on the identical state (checkpoint portability across batching);
 * ``artifact`` — observed ``recovery_times`` at ``batch=1`` vs
-  ``batch=b``: per-replica hitting times, ``timeseries.jsonl`` /
-  ``events.jsonl`` bytes, and the (step, payload-digest) sequence
-  offered to a ``save_every`` checkpointer must all agree;
+  ``batch=b`` (segment cuts and mid-segment completion): per-replica
+  hitting times, ``timeseries.jsonl`` / ``events.jsonl`` bytes, and
+  the (step, payload-digest) sequence offered to a ``save_every``
+  checkpointer must all agree;
 * ``ks`` — scalar vs vectorized end-state max-load distributions
   (two-sample KS), the engines-disagree-in-law alarm.  Statistical, so
   a failure is only reported when two independent sample pairs both
@@ -32,6 +37,8 @@ its shrinker and pytest glue on these primitives.
 from __future__ import annotations
 
 import json
+import os
+import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -41,6 +48,7 @@ __all__ = [
     "sample_configs",
     "vectorizable_spec_names",
     "build_processes",
+    "replay_rows",
     "check_batched",
     "check_replay",
     "check_artifact",
@@ -174,6 +182,54 @@ def _fleet_state(p) -> dict:
     }
 
 
+def replay_rows(spec, start, replicas: int, seed: int, steps: int) -> dict:
+    """Row-by-row replay of a sequential fleet from the LoadVector *start*.
+
+    The kernels' bitwise oracle.  Draws the documented slab
+    ``default_rng(seed).random((steps, k, replicas))`` (k = 2 closed, 4
+    with relocation, 3 open) and feeds replica r's column to a plain
+    int64 row: removal by ``spec.removal.quantile``, insertion by
+    ``spec.rule.insertion_quantile_batch`` on one uniform, and every
+    edit at :func:`~repro.balls.load_vector.ominus_index` /
+    :func:`~repro.balls.load_vector.oplus_index`.  Nothing here touches
+    the kernels' fleet search, edits or whole-fleet removal inversion.
+    Returns the keys of :func:`_fleet_state`.
+    """
+    from repro.balls.load_vector import ominus_index, oplus_index
+
+    n, law, p, cap = start.n, spec.removal, spec.p_relocate, spec.max_balls
+    k = 3 if spec.kind == "open" else (4 if p > 0 else 2)
+    rng = np.random.default_rng(seed)
+    U = rng.random((steps, k, replicas))
+    V = np.tile(start.loads.astype(np.int64), (replicas, 1))
+    relocations = 0
+
+    def index(u) -> int:
+        return int(spec.rule.insertion_quantile_batch(n, np.array([u]))[0])
+
+    for r in range(replicas):
+        row = V[r]
+        for u in U[:, :, r]:
+            if spec.kind == "open":
+                balls = int(row.sum())
+                if u[0] < 0.5:
+                    if balls > 0:
+                        row[ominus_index(row, law.quantile(row, u[1]))] -= 1
+                elif cap is None or balls < cap:
+                    row[oplus_index(row, index(u[2]))] += 1
+                continue
+            row[ominus_index(row, law.quantile(row, u[0]))] -= 1
+            row[oplus_index(row, index(u[1]))] += 1
+            if p > 0 and u[2] < p:
+                target = index(u[3])
+                if row[0] - row[target] >= 2:
+                    row[ominus_index(row, 0)] -= 1
+                    row[oplus_index(row, target)] += 1
+                    relocations += 1
+    return {"V": V, "rng": rng.bit_generator.state, "t": steps,
+            "relocations": relocations}
+
+
 def _diff_states(a: dict, b: dict, label_a: str, label_b: str) -> str | None:
     if not np.array_equal(a["V"], b["V"]):
         row = int(np.argwhere((a["V"] != b["V"]).any(axis=1))[0][0])
@@ -239,13 +295,22 @@ class _RecordingCheckpointer:
 # ---------------------------------------------------------------------------
 
 def check_batched(cfg: DiffConfig) -> str | None:
-    """``run(T)`` vs ``run_batched(T, batch)``: bitwise fleet identity."""
-    a, b = build_processes(cfg, 2)
-    a.run(cfg.steps)
-    b.run_batched(cfg.steps, batch=cfg.batch)
-    return _diff_states(
-        _fleet_state(a), _fleet_state(b), "run", f"run_batched[{cfg.batch}]"
-    )
+    """``run_batched(T, batch)`` vs an independent reference, bitwise.
+
+    Sequential specs compare with :func:`replay_rows`.  Synchronous
+    specs draw a state-dependent scatter, so there is no fixed slab to
+    replay; they compare ``batch=1`` with ``batch=b``.
+    """
+    spec, start = _spec_and_start(cfg)
+    if spec.step.synchronous:
+        (one,) = build_processes(cfg, 1)
+        ref, label = _fleet_state(one.run_batched(cfg.steps, batch=1)), "batch=1"
+    else:
+        ref = replay_rows(spec, start, cfg.replicas, cfg.seed, cfg.steps)
+        label = "replay_rows"
+    (proc,) = build_processes(cfg, 1)
+    proc.run_batched(cfg.steps, batch=cfg.batch)
+    return _diff_states(ref, _fleet_state(proc), label, f"run_batched[{cfg.batch}]")
 
 
 def check_replay(cfg: DiffConfig) -> str | None:
@@ -267,11 +332,14 @@ def check_replay(cfg: DiffConfig) -> str | None:
 def check_artifact(cfg: DiffConfig) -> str | None:
     """Observed ``recovery_times``: batch=1 vs batch=b artifact identity.
 
-    Compares per-replica hitting times, the decimated telemetry bytes
+    Both sides run the same kernels, so this checks how
+    ``recovery_times`` cuts segments (at probe and ``save_every``
+    boundaries) and finishes mid-segment, not the kernels themselves
+    (:func:`check_batched` does that).  Compares per-replica hitting
+    times, the decimated telemetry bytes
     (``timeseries.jsonl``/``events.jsonl``) and the committed-save
     sequence offered to a ``save_every`` checkpointer.
     """
-    import os
     import tempfile
 
     from repro.obs.probes import recovery_target
@@ -373,14 +441,23 @@ _GRID_PLAN = (
 
 
 def run_check(cfg: DiffConfig, check: str) -> str | None:
-    """Run one named check; returns None (pass) or the failure text."""
+    """Run one named check; returns None (pass) or the failure text.
+
+    A check that raises fails with the exception's type, message and
+    innermost frame.
+    """
     try:
         fn = CHECKS[check]
     except KeyError:
         raise ValueError(
             f"unknown check {check!r}; choose from {sorted(CHECKS)}"
         ) from None
-    return fn(cfg)
+    try:
+        return fn(cfg)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        return f"raised {type(exc).__name__}: {exc} ({where})"
 
 
 def run_grid(

@@ -2,8 +2,9 @@
 
 The pytest-facing wrapper around :mod:`repro.verify.differential`.
 That module owns the sampled configuration space and the four
-differential checks (``batched``/``replay``/``artifact``/``ks``); this
-one owns how a *failure* surfaces in a test run:
+differential checks (``batched`` against the row-by-row replay,
+``replay``, ``artifact`` and ``ks``); this one owns how a *failure*
+surfaces in a test run:
 
 * :func:`assert_passes` runs one check and, when it fails, first
   greedily shrinks the configuration to the smallest one that still

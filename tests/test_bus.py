@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -348,6 +349,49 @@ def test_cli_campaign_restart_lost_without_save_every_exits_2(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert "error: restart_lost=2 needs fleet checkpoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kw, why", [
+    (dict(batch=0), "batch must be >= 1, got 0"),
+    (dict(batch=-3), "batch must be >= 1, got -3"),
+    (dict(batch=64, engine="scalar"), "batch=64 needs engine='vectorized'"),
+    (dict(batch=2, engine="exact"), "batch=2 needs engine='vectorized'"),
+], ids=["zero", "negative", "scalar", "exact"])
+def test_run_campaign_rejects_bad_batch(tmp_path, kw, why):
+    # batch < 1 used to run (only batch > 1 was branched on), and
+    # batch > 1 on an engine without segment kernels was ignored.
+    out = tmp_path / "x"
+    with pytest.raises(ValueError, match=re.escape(why)):
+        run_campaign(
+            n=3, processes=1, out=str(out), **{"engine": "vectorized", **kw}
+        )
+    assert not out.exists()
+
+
+def test_recovery_times_rejects_bad_batch():
+    from repro.balls.load_vector import LoadVector
+    from repro.engine import VectorizedEngine, registered_specs
+
+    bp = VectorizedEngine.make(
+        registered_specs()["scenario_a"], LoadVector.all_in_one(8, 4), 2, seed=0
+    )
+    for batch in (0, -3):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            bp.recovery_times(2, 50, batch=batch)
+    assert bp.t == 0
+
+
+def test_cli_campaign_bad_batch_exits_2_without_run_dir(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "x"
+    code = main(["campaign", "--n", "8", "--batch", "0", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: batch must be >= 1" in captured.err
+    assert "campaign run dir" not in captured.out
+    assert "watch live" not in captured.out
     assert not out.exists()
 
 

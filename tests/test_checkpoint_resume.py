@@ -120,11 +120,11 @@ def test_sigkill_mid_batch_resumes_byte_identical(tmp_path):
     segment (boundaries fall on probe/save multiples of 5), so the kill
     fires at the first save opportunity *after* K.  The resumed run
     must still be byte-identical to an uninterrupted batched run, and
-    the batched artifact byte-identical to the unbatched one."""
+    the batch=16 artifact byte-identical to the batch=1 one."""
     kw = dict(VECTORIZED_KW, batch=16)
     crashed = str(tmp_path / "crashed")
     reference = str(tmp_path / "reference")
-    unbatched = str(tmp_path / "unbatched")
+    one_step = str(tmp_path / "batch1")
     run_with_crash(campaign_argv(crashed, **kw), "step:13")
     # The kill fired before any save past 10 committed.
     assert checkpoint_step(crashed) == 10
@@ -133,11 +133,11 @@ def test_sigkill_mid_batch_resumes_byte_identical(tmp_path):
     assert_runs_match(crashed, reference)
     # Batching is invisible in the artifact bytes (meta.json records the
     # differing batch knob, so compare the telemetry streams directly).
-    run_clean(campaign_argv(unbatched, **VECTORIZED_KW))
+    run_clean(campaign_argv(one_step, **VECTORIZED_KW))
     for name in ("timeseries.jsonl", "events.jsonl"):
         with open(os.path.join(reference, name), "rb") as f:
             batched_bytes = f.read()
-        with open(os.path.join(unbatched, name), "rb") as f:
+        with open(os.path.join(one_step, name), "rb") as f:
             assert batched_bytes == f.read()
 
 

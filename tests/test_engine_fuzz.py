@@ -1,15 +1,16 @@
-"""Differential fuzz: batched kernels proven equal to the reference loops.
+"""Differential fuzz: the batched kernels against independent references.
 
-The enforcement layer of the ``run_batched`` fast path.  Instead of
-hand-picked cases, randomized (spec × shape × seed × horizon × batch ×
-probe-interval × checkpoint-boundary) configurations are drawn — both
-hypothesis-driven and from the deterministic CI seed grid — and every
-draw must satisfy the differential checks of
-:mod:`repro.verify.differential`: bitwise ``run`` vs ``run_batched``
-fleet identity, bitwise snapshot replay across different batch
-lengths, artifact-for-artifact ``recovery_times`` equality (times,
-telemetry bytes, checkpoint offers), and scalar-vs-vectorized
-distributional parity.  A failure shrinks and prints a one-line
+The enforcement layer of the vectorized engine's one stepping path.
+Instead of hand-picked cases, randomized (spec × shape × seed × horizon
+× batch × probe-interval × checkpoint-boundary) configurations are
+drawn — both hypothesis-driven and from the deterministic CI seed grid
+— and every draw must satisfy the differential checks of
+:mod:`repro.verify.differential`: bitwise ``run_batched`` vs row-by-row
+replay fleet identity (``batch=1`` vs ``batch=b`` for synchronous
+specs), bitwise snapshot replay across different batch lengths,
+artifact-for-artifact ``recovery_times`` equality across segment
+lengths (times, telemetry bytes, checkpoint offers), and
+scalar-vs-vectorized distributional parity.  A failure shrinks and prints a one-line
 ``repro fuzz --config '…'`` replay command (see :mod:`tests.fuzzkit`).
 """
 
@@ -23,6 +24,7 @@ from repro.verify.differential import (
     DiffConfig,
     run_check,
     run_fuzz_cli,
+    run_grid,
     sample_configs,
     shrink_config,
     vectorizable_spec_names,
@@ -49,7 +51,7 @@ SLOWER = settings(
 @FAST
 @given(cfg=fuzzkit.config_strategy())
 def test_batched_bitwise_identity(cfg):
-    """run(T) and run_batched(T, b) land on the identical fleet state."""
+    """run_batched(T, b) lands on the row-by-row replay's fleet state."""
     fuzzkit.assert_passes(cfg, "batched")
 
 
@@ -185,6 +187,34 @@ def test_fuzz_cli_reports_failures_with_repro_line(capsys):
         assert "repro: PYTHONPATH=src python -m repro fuzz --config" in err
     finally:
         del CHECKS["alwaysfail"]
+
+
+def test_raising_check_is_reported_shrunk_and_fails_the_cli(capsys):
+    """A check that raises is a failure with a replay line, not a traceback."""
+
+    def crashes(cfg):
+        if cfg.steps > 3:
+            raise IndexError("index 99 is out of bounds")
+        return None
+
+    CHECKS["crashes"] = crashes
+    try:
+        cfg = fuzzkit.pinned_config("scenario_a", steps=40)
+        assert run_check(cfg, "crashes").startswith(
+            "raised IndexError: index 99 is out of bounds "
+            "(test_engine_fuzz.py:"
+        )
+        assert shrink_config(cfg, "crashes").steps == 4
+        # The grid carries on past a raising config.
+        grid = sample_configs(6, seed=0)
+        failures = run_grid(grid, check="crashes")
+        assert [c for c, _, _ in failures] == [c for c in grid if c.steps > 3]
+        assert run_fuzz_cli(budget=6, seed=0, check="crashes") == 1
+        err = capsys.readouterr().err
+        assert "FAIL [crashes] raised IndexError: index 99" in err
+        assert "repro: PYTHONPATH=src python -m repro fuzz --config" in err
+    finally:
+        del CHECKS["crashes"]
 
 
 def test_fuzz_cli_json_schema(capsys):

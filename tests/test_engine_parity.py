@@ -13,7 +13,8 @@ Three layers of agreement, from mechanical to distributional:
   randomness differently by design, so the check is distributional.
 
 The batched kernels' whole-fleet search helpers are checked against
-the per-row searches they replaced, on row subsets and boundary rows.
+per-row searches on row subsets and boundary rows, and the kernels
+against the row-by-row replay of :mod:`repro.verify.differential`.
 
 Plus the contract edges: ADAP(χ) is rejected by the vectorized engine
 with a sequential-sampling reason, and ``import repro`` raises no
@@ -621,7 +622,7 @@ def test_removal_into_on_row_subsets(law, name):
 
 @pytest.mark.parametrize("spec", ["scenario_a", "scenario_b", "relocation"])
 def test_forced_wide_scratch_bitwise(spec):
-    """int32 loads, int64 search scratch: run vs run_batched stays bitwise.
+    """int32 loads, int64 search scratch: the kernels stay bitwise.
 
     With R = 3 and m = 1.5·10⁹ every load fits int32, but the fleet key
     and cumsum reach (R − 1)·(m + 1), which does not.
@@ -650,16 +651,41 @@ def test_batched_bitwise_while_loads_grow(spec, start):
 
     The fuzz grid starts from the all-in-one state, where no load ever
     exceeds the start; here the search key's per-segment bound B (start
-    max + segment length, capped) is what keeps row blocks apart.
+    max + segment length, capped) is what keeps row blocks apart.  Each
+    batch is compared with the row-by-row replay of the same slab.
     """
+    from repro.verify.differential import replay_rows
+
     for batch in (1, 2, 7, 64):
-        a = VectorizedEngine.make(spec, start, 6, seed=batch)
+        ref = replay_rows(spec, start, 6, batch, 200)
         b = VectorizedEngine.make(spec, start, 6, seed=batch)
-        a.run(200)
         b.run_batched(200, batch=batch)
-        np.testing.assert_array_equal(a.loads, b.loads)
-        assert a._rng.bit_generator.state == b._rng.bit_generator.state
-        assert a.relocations == b.relocations
+        np.testing.assert_array_equal(ref["V"], b.loads)
+        assert ref["rng"] == b._rng.bit_generator.state
+        assert (ref["t"], ref["relocations"]) == (b.t, b.relocations)
+
+
+def test_bounded_fleet_is_int32_from_construction():
+    """Narrowed before any step; snapshots stay int64 and restore bitwise."""
+    spec = SPECS["scenario_a"]
+    start = LoadVector.all_in_one(40, 8)
+    bp = VectorizedEngine.make(spec, start, 5, seed=3)
+    assert bp.loads.dtype == np.int32
+    bp.run(17)
+    snap = bp.state_dict()
+    assert snap["V"].dtype == np.int64
+    fresh = VectorizedEngine.make(spec, start, 5, seed=99)
+    fresh.load_state(snap)
+    assert fresh.loads.dtype == np.int32
+    np.testing.assert_array_equal(fresh.loads, bp.loads)
+    assert fresh._rng.bit_generator.state == bp._rng.bit_generator.state
+    bp.run(23)
+    fresh.run(23)
+    np.testing.assert_array_equal(fresh.loads, bp.loads)
+    assert fresh.t == bp.t == 40
+    # An uncapped open fleet has no bound to narrow under.
+    uncapped = open_spec(ABKURule(2), removal="bin")
+    assert VectorizedEngine.make(uncapped, start, 2).loads.dtype == np.int64
 
 
 def test_load_state_rejects_corrupt_fleet():
