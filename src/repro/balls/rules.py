@@ -132,6 +132,21 @@ class SchedulingRule(ABC):
     #: :meth:`repro.engine.vectorized.VectorizedEngine.supports`.
     insertion_quantile_batch: Callable[[int, np.ndarray], np.ndarray] | None = None
 
+    def insertion_quantile_batch_into(
+        self, n: int, u: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """``insertion_quantile_batch(n, u)`` written into *out*; returns *out*.
+
+        For the RBB step's per-step scatter, whose draw is fleet-sized:
+        implementations may use *u* as float work (its values are lost)
+        and must write exactly the indices of
+        :meth:`insertion_quantile_batch` — the differential harness pins
+        the kernel bitwise to a row-by-row replay through that method.
+        The base class falls back to the allocating path.
+        """
+        out[...] = self.insertion_quantile_batch(n, u)
+        return out
+
     @abstractmethod
     def source_length(self, v: np.ndarray) -> int:
         """Number of source samples sufficient to evaluate D̄(v, ·)."""
@@ -213,6 +228,18 @@ class ABKURule(SchedulingRule):
         eligible for the vectorized engine.
         """
         return np.minimum((n * u ** (1.0 / self.d)).astype(np.int64), n - 1)
+
+    def insertion_quantile_batch_into(
+        self, n: int, u: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        # In place, the same integers bit for bit: ``u **= 1/d`` takes
+        # the operator's fast paths (sqrt for d = 2) exactly as
+        # ``u ** (1/d)`` does, the product commutes, and the unsafe cast
+        # truncates as ``astype`` does.
+        u **= 1.0 / self.d
+        u *= n
+        np.copyto(out, u, casting="unsafe")
+        return np.minimum(out, n - 1, out=out)
 
     def __repr__(self) -> str:
         return f"ABKURule(d={self.d})"

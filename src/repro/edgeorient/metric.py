@@ -20,15 +20,16 @@ coupling contracts on Γ).
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.edgeorient.state import (
     discrepancies_to_xvector,
     enumerate_reachable_states,
     num_classes,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["EdgeOrientationMetric"]
 
@@ -112,6 +113,8 @@ class EdgeOrientationMetric:
         return out
 
     def _build_g_edges(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.states)
         for x in self.states:
@@ -140,6 +143,8 @@ class EdgeOrientationMetric:
         the two coincide on Γ pairs — asserted by
         :meth:`check_gamma_distances` in the tests.)
         """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.states)
         for x, y in self._g_edges.edges():

@@ -47,7 +47,8 @@ A sequential segment of T phases draws one uniform slab
 so the trajectory does not depend on how phases are cut into segments,
 and :func:`repro.verify.differential.replay_rows` replays each replica
 bitwise on a plain row through the scalar Fact 3.2 primitives, sharing
-no search code with the kernels.  The scalar engine draws in its own
+no search code with the kernels; a synchronous step's draw is
+replayed one ball per uniform.  The scalar engine draws in its own
 order, so scalar-vs-vectorized parity is distributional (KS tests in
 the engine-parity suite).
 """
@@ -182,6 +183,13 @@ class VectorizedProcess:
             self._q = spec.rule.insertion_distribution(
                 np.zeros(self._n, dtype=np.int64)
             )
+            # Per-step scratch (at most R·n balls are released per step).
+            # Fleet-sized temporaries freed every step make glibc trim
+            # and re-fault heap pages on every step unless something
+            # else (such as importing scipy) has raised its thresholds.
+            self._nonempty = np.empty((replicas, self._n), dtype=bool)
+            self._u = np.empty(replicas * self._n)
+            self._flat = np.empty(replicas * self._n, dtype=np.int64)
         else:
             self._fleet = FleetSearch(replicas, self._n, bound)
 
@@ -247,18 +255,17 @@ class VectorizedProcess:
         (``benchmarks/bench_e16_rbb.py``).
         """
         V = self._V
-        nonempty = V > 0
+        nonempty = np.greater(V, 0, out=self._nonempty)
         s = nonempty.sum(axis=1)
         np.subtract(V, 1, out=V, where=nonempty)
         total = int(s.sum())
-        # The row offsets go into the quantile's fresh index array and the
-        # re-sort runs in place: with two or three more fleet-sized
-        # temporaries per step, glibc trims and re-faults heap pages on
-        # every step (~150k minor faults in one campaign_rbb run instead
-        # of a few hundred).
+        # The draw, the quantile and the row offsets work in the scratch
+        # buffers and the re-sort runs in place, so only ``repeat`` and
+        # ``bincount`` allocate fleet-sized arrays per step.
         if total > 0:
-            flat = self.rule.insertion_quantile_batch(
-                self._n, self._rng.random(total)
+            u = self._rng.random(total, out=self._u[:total])
+            flat = self.rule.insertion_quantile_batch_into(
+                self._n, u, self._flat[:total]
             )
             flat += np.repeat(self._rows * self._n, s)
             V += np.bincount(flat, minlength=self._R * self._n).reshape(

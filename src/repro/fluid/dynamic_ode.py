@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.utils.validation import check_positive_int
 
@@ -120,6 +119,8 @@ def solve_dynamic_fluid(
         raise ValueError(
             f"initial tail sums to {init.sum():.6f}, expected c = {c}"
         )
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         lambda _t, s: dynamic_rhs(s, d, c, scenario),

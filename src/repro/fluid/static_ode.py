@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.utils.validation import check_positive_int
 
@@ -75,6 +74,8 @@ def solve_static_fluid(
     def rhs(_t: float, s: np.ndarray) -> np.ndarray:
         ext = np.concatenate(([1.0], np.clip(s, 0.0, 1.0)))
         return ext[:-1] ** d - ext[1:] ** d
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

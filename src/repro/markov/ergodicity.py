@@ -10,17 +10,22 @@ every exact kernel we build.
 from __future__ import annotations
 
 from math import gcd
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.markov.chain import FiniteMarkovChain
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["support_digraph", "is_irreducible", "period", "is_aperiodic", "is_ergodic"]
 
 
 def support_digraph(chain: FiniteMarkovChain, *, tol: float = 0.0) -> nx.DiGraph:
     """Digraph with an edge i→j whenever P[i, j] > tol."""
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(range(chain.size))
     rows, cols = np.nonzero(chain.P > tol)
@@ -30,6 +35,8 @@ def support_digraph(chain: FiniteMarkovChain, *, tol: float = 0.0) -> nx.DiGraph
 
 def is_irreducible(chain: FiniteMarkovChain) -> bool:
     """True iff the support digraph is strongly connected."""
+    import networkx as nx
+
     return nx.is_strongly_connected(support_digraph(chain))
 
 
@@ -40,6 +47,8 @@ def period(chain: FiniteMarkovChain) -> int:
     (level(u) + 1 − level(v)) over all edges u→v within one strongly
     connected exploration.
     """
+    import networkx as nx
+
     g = support_digraph(chain)
     if not nx.is_strongly_connected(g):
         raise ValueError("period is only defined for irreducible chains")
@@ -64,6 +73,8 @@ def is_aperiodic(chain: FiniteMarkovChain) -> bool:
 
 def is_ergodic(chain: FiniteMarkovChain) -> bool:
     """Irreducible and aperiodic — the Path Coupling Lemma hypothesis."""
+    import networkx as nx
+
     g = support_digraph(chain)
     if not nx.is_strongly_connected(g):
         return False

@@ -18,7 +18,6 @@ solved with scipy's HiGHS backend.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.markov.chain import FiniteMarkovChain
 
@@ -39,6 +38,8 @@ def delta_cost_matrix(chain: FiniteMarkovChain, metric) -> np.ndarray:
 
 def wasserstein_distance(p: np.ndarray, q: np.ndarray, C: np.ndarray) -> float:
     """Exact W(p, q) under cost matrix C, by linear programming."""
+    from scipy.optimize import linprog
+
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     size = p.shape[0]

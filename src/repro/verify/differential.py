@@ -10,11 +10,11 @@ batch × probe decimation × checkpoint cadence) and running
 differential checks over each:
 
 * ``batched`` — ``run_batched(T, batch)`` vs :func:`replay_rows`, a
-  replay of the same slab one replica at a time on a plain int64 row
-  through the scalar Fact 3.2 primitives (sequential specs), or vs
-  ``batch=1`` (synchronous specs, whose scatter size depends on the
-  state): load matrix, RNG stream position, step counter and
-  relocation counter must match exactly;
+  replay of the same uniforms on plain int64 rows: one replica at a
+  time through the scalar Fact 3.2 primitives (sequential specs), or
+  all rows one step at a time with one ball placed per uniform
+  (synchronous specs): load matrix, RNG stream position, step counter
+  and relocation counter must match exactly;
 * ``replay`` — a mid-run :meth:`state_dict` snapshot restored onto a
   fresh fleet and continued with a *different* batch length must land
   on the identical state (checkpoint portability across batching);
@@ -183,30 +183,53 @@ def _fleet_state(p) -> dict:
 
 
 def replay_rows(spec, start, replicas: int, seed: int, steps: int) -> dict:
-    """Row-by-row replay of a sequential fleet from the LoadVector *start*.
+    """Row-by-row replay of a fleet from the LoadVector *start*.
 
-    The kernels' bitwise oracle.  Draws the documented slab
-    ``default_rng(seed).random((steps, k, replicas))`` (k = 2 closed, 4
-    with relocation, 3 open) and feeds replica r's column to a plain
-    int64 row: removal by ``spec.removal.quantile``, insertion by
-    ``spec.rule.insertion_quantile_batch`` on one uniform, and every
-    edit at :func:`~repro.balls.load_vector.ominus_index` /
-    :func:`~repro.balls.load_vector.oplus_index`.  Nothing here touches
-    the kernels' fleet search, edits or whole-fleet removal inversion.
+    The kernels' bitwise oracle, on plain int64 rows, with insertion by
+    ``spec.rule.insertion_quantile_batch`` on one uniform at a time.
+
+    * Sequential specs: draws the documented slab
+      ``default_rng(seed).random((steps, k, replicas))`` (k = 2 closed,
+      4 with relocation, 3 open) and feeds replica r's column to its
+      row: removal by ``spec.removal.quantile`` and every edit at
+      :func:`~repro.balls.load_vector.ominus_index` /
+      :func:`~repro.balls.load_vector.oplus_index`.  Nothing here
+      touches the kernels' fleet search, edits or whole-fleet removal
+      inversion.
+    * Synchronous (RBB) specs: steps all rows together.  Per step each
+      row releases one ball from each of its s_r nonempty bins, one
+      ``rng.random(Σ s_r)`` draw is made as the kernel makes it, row r
+      places one ball per uniform of its share (rows in order), and
+      each row is re-sorted descending.  Nothing here touches the
+      kernel's release mask, scatter, ``bincount`` or row sort.
+
     Returns the keys of :func:`_fleet_state`.
     """
     from repro.balls.load_vector import ominus_index, oplus_index
 
     n, law, p, cap = start.n, spec.removal, spec.p_relocate, spec.max_balls
-    k = 3 if spec.kind == "open" else (4 if p > 0 else 2)
     rng = np.random.default_rng(seed)
-    U = rng.random((steps, k, replicas))
     V = np.tile(start.loads.astype(np.int64), (replicas, 1))
     relocations = 0
 
     def index(u) -> int:
         return int(spec.rule.insertion_quantile_batch(n, np.array([u]))[0])
 
+    if spec.step.synchronous:
+        for _ in range(steps):
+            released = [int((row > 0).sum()) for row in V]
+            for row in V:
+                row[row > 0] -= 1
+            draws = iter(rng.random(sum(released)))
+            for row, s in zip(V, released):
+                for _ in range(s):
+                    row[index(next(draws))] += 1
+                row[::-1].sort()
+        return {"V": V, "rng": rng.bit_generator.state, "t": steps,
+                "relocations": 0}
+
+    k = 3 if spec.kind == "open" else (4 if p > 0 else 2)
+    U = rng.random((steps, k, replicas))
     for r in range(replicas):
         row = V[r]
         for u in U[:, :, r]:
@@ -295,22 +318,19 @@ class _RecordingCheckpointer:
 # ---------------------------------------------------------------------------
 
 def check_batched(cfg: DiffConfig) -> str | None:
-    """``run_batched(T, batch)`` vs an independent reference, bitwise.
+    """``run_batched(T, batch)`` vs :func:`replay_rows`, bitwise, for every spec.
 
-    Sequential specs compare with :func:`replay_rows`.  Synchronous
-    specs draw a state-dependent scatter, so there is no fixed slab to
-    replay; they compare ``batch=1`` with ``batch=b``.
+    Sequential specs replay the same uniform slab row by row;
+    synchronous (RBB) specs replay each step's scatter draw one ball at
+    a time.
     """
     spec, start = _spec_and_start(cfg)
-    if spec.step.synchronous:
-        (one,) = build_processes(cfg, 1)
-        ref, label = _fleet_state(one.run_batched(cfg.steps, batch=1)), "batch=1"
-    else:
-        ref = replay_rows(spec, start, cfg.replicas, cfg.seed, cfg.steps)
-        label = "replay_rows"
+    ref = replay_rows(spec, start, cfg.replicas, cfg.seed, cfg.steps)
     (proc,) = build_processes(cfg, 1)
     proc.run_batched(cfg.steps, batch=cfg.batch)
-    return _diff_states(ref, _fleet_state(proc), label, f"run_batched[{cfg.batch}]")
+    return _diff_states(
+        ref, _fleet_state(proc), "replay_rows", f"run_batched[{cfg.batch}]"
+    )
 
 
 def check_replay(cfg: DiffConfig) -> str | None:

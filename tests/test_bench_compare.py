@@ -127,8 +127,10 @@ class TestRunner:
             out_dir=str(tmp_path / "out"), run_dir=str(tmp_path / "run"),
         )
         validate_bench_payload(payload)  # raises on mismatch
+        # A tree without .git (an exported copy) has no revision.
         assert re.fullmatch(
-            r"BENCH_\d{8}-\d{6}_[0-9a-f]{1,10}\.json", os.path.basename(json_path)
+            r"BENCH_\d{8}-\d{6}_([0-9a-f]{1,10}|unknown)\.json",
+            os.path.basename(json_path),
         )
         with open(json_path) as f:
             assert json.load(f) == payload
@@ -138,6 +140,19 @@ class TestRunner:
         ok = next(b for b in payload["benches"] if b["status"] == "ok")
         assert ok["wall_s"]["n"] == len(ok["wall_s"]["samples"]) == ok["rounds"]
         assert payload["resources"]["peak_rss_kb"] > 0
+
+    def test_artifact_without_git_rev_is_named_unknown(self, tmp_path, monkeypatch):
+        import repro.obs.bench as bench
+
+        monkeypatch.setattr(bench, "git_revision", lambda: None)
+        json_path, payload = run_benchmarks(
+            bench_dir=_write_bench_dir(tmp_path), repeats=1, quick=True,
+            progress=False, out_dir=str(tmp_path / "out"),
+            run_dir=str(tmp_path / "run"),
+        )
+        validate_bench_payload(payload)
+        assert os.path.basename(json_path).endswith("_unknown.json")
+        assert payload["git_rev"] is None
 
     def test_run_dir_gets_spans_and_resources(self, tmp_path):
         from repro import obs

@@ -6,8 +6,8 @@ Instead of hand-picked cases, randomized (spec × shape × seed × horizon
 drawn — both hypothesis-driven and from the deterministic CI seed grid
 — and every draw must satisfy the differential checks of
 :mod:`repro.verify.differential`: bitwise ``run_batched`` vs row-by-row
-replay fleet identity (``batch=1`` vs ``batch=b`` for synchronous
-specs), bitwise snapshot replay across different batch lengths,
+replay fleet identity (for synchronous specs too, one ball per
+uniform), bitwise snapshot replay across different batch lengths,
 artifact-for-artifact ``recovery_times`` equality across segment
 lengths (times, telemetry bytes, checkpoint offers), and
 scalar-vs-vectorized distributional parity.  A failure shrinks and prints a one-line
