@@ -11,7 +11,14 @@ fuzz suite pins the kernels bitwise to a row-by-row replay.
 A moderate-scale step (n = 4096) rides along for CI's quick mode, plus
 the batched ``recovery_times`` driver which is what campaigns actually
 call.
+
+``test_ball_removal_step_scales_sublinearly`` is a plain pytest gate,
+not a bench: a scenario-A step at n = 16384 must cost under √16 = 4×
+one at n = 1024 (same R), which a ball removal with an O(R·n) pass per
+step cannot meet on any host.
 """
+
+from conftest import paired_overhead_ratio
 
 from repro.balls.load_vector import LoadVector
 from repro.engine.registry import registered_specs
@@ -53,3 +60,23 @@ def test_bench_mid_scale_recovery_batched(benchmark):
         return bp.recovery_times(target, 2_000, batch=64)
 
     benchmark.pedantic(measure, rounds=2)
+
+
+def test_ball_removal_step_scales_sublinearly(capsys):
+    spec = registered_specs()["scenario_a"]
+    small, big = (
+        VectorizedProcess(spec, LoadVector.balanced(n, n), 64, seed=5)
+        for n in (1024, 16384)
+    )
+    for bp in (small, big):
+        bp.run_batched(64, batch=64)  # warmup
+    ratio, t_small, t_big = paired_overhead_ratio(
+        lambda: small.run_batched(64, batch=64),
+        lambda: big.run_batched(64, batch=64),
+    )
+    with capsys.disabled():
+        print(
+            f"\n64 steps at R=64: n=1024 {1e3 * t_small:.2f} ms, "
+            f"n=16384 {1e3 * t_big:.2f} ms, ratio {ratio:.2f}"
+        )
+    assert ratio < 4, f"step cost grew {ratio:.2f}x for 16x the bins"

@@ -168,6 +168,9 @@ class RemovalLaw(ABC):
 
     name: str = "removal"
     batchable: bool = True
+    #: Whether :meth:`quantile_batch_into` reads the fleet's block sums,
+    #: which the batched kernels then keep in step with every edit.
+    block_sums: bool = False
 
     @abstractmethod
     def pmf(self, v: np.ndarray) -> np.ndarray:
@@ -196,14 +199,13 @@ class RemovalLaw(ABC):
 
         Returns ``quantile_batch(V[rows], u)`` (``rows`` None: every
         row) without copying rows out of *V*.  *fleet* is the caller's
-        :class:`~repro.engine.vectorized.FleetSearch` scratch for *V*:
-        its flat cumsum buffer, and its search key, which must be
-        current.  Must return exactly the indices of
-        :meth:`quantile_batch` — the differential harness pins the
-        kernels bitwise to a row-by-row replay through :meth:`quantile`,
-        so implementations may only change *how* the indices are found,
-        never their values.  The base class falls back to the allocating
-        path.
+        :class:`~repro.engine.vectorized.FleetSearch` scratch for *V*,
+        whose search key and block sums must be current.  Must return
+        exactly the indices of :meth:`quantile_batch` — the differential
+        harness pins the kernels bitwise to a row-by-row replay through
+        :meth:`quantile`, so implementations may only change *how* the
+        indices are found, never their values.  The base class falls
+        back to the allocating path.
         """
         return self.quantile_batch(V if rows is None else V[rows], u)
 
@@ -215,6 +217,7 @@ class BallRemoval(RemovalLaw):
     """𝒜(v): remove a uniformly random ball — Pr[i] = v_i / m (Def 3.2)."""
 
     name = "ball"
+    block_sums = True
 
     def pmf(self, v: np.ndarray) -> np.ndarray:
         return removal_distribution_a(v)
@@ -237,20 +240,12 @@ class BallRemoval(RemovalLaw):
         fleet,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        # Same inversion over one flat fleet cumsum (leading 0): row r's
-        # balls are csum[r·n] (= lo) up to csum[r·n + n], so ball ⌊u·m⌋
-        # of row r is one search for lo + target, which cannot leave
-        # row r.  One searchsorted call serves every row; the float
-        # product u·m is quantile_batch's, so the indices are bitwise.
-        csum = fleet.cumsum(V)
-        first = fleet.first(rows)
-        lo = csum[first]
-        m = csum[first + V.shape[1]] - lo
+        # Ball ⌊u·m⌋ of each row through the fleet's block sums (see
+        # FleetSearch.ball_bins): no O(R·n) pass.  The float product
+        # u·m is quantile_batch's, so the indices are bitwise.
+        m = fleet.totals(rows)
         targets = np.minimum((u * m).astype(np.int64), m - 1)
-        hit = np.searchsorted(
-            csum, np.add(lo, targets, dtype=csum.dtype), side="right"
-        )
-        return hit - 1 - first
+        return fleet.ball_bins(V, rows, targets)
 
 
 class BinRemoval(RemovalLaw):

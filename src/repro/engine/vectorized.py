@@ -4,9 +4,10 @@ The scaling experiments run many independent replicas of the same
 process.  Rather than looping replicas in Python, this engine keeps an
 (R, n) matrix of normalized load rows and advances *all* replicas per
 step with whole-array NumPy operations — the "vectorize the loop over
-replicas" idiom of the HPC guides.  Per step the work is O(R·n) in fast
-vectorized passes, which beats R separate O(log n) Python-level steps
-by a wide margin for the R ~ 10²–10⁴ used in experiments.
+replicas" idiom of the HPC guides.  Under ball or bin removal a
+sequential step is a handful of numpy calls whatever R is, none of
+which passes over the whole (R, n) matrix: that happens once per
+segment of up to *batch* phases, when the search key is rebuilt.
 
 The Fact 3.2 updates vectorize through counting comparisons: in a
 descending row, the *first* index of the value-v run is ``#{entries >
@@ -15,7 +16,9 @@ v}`` and the *last* is ``#{entries ≥ v} − 1``.  One stepping path,
 and ``recovery_times`` cut its phases into segments): its kernels
 answer those counts for every row at once with one binary search over
 a flat ascending key of the whole fleet (:class:`FleetSearch`), which
-lands on the flat position of each edit directly.
+lands on the flat position of each edit directly.  Ball removal finds
+each row's sampled ball through per-row block sums of b ≈ √n bins,
+kept in step with every edit: O(R·√n) per step.
 
 What vectorizes — and what cannot:
 
@@ -55,6 +58,7 @@ the engine-parity suite).
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -69,7 +73,7 @@ __all__ = ["VectorizedProcess", "VectorizedEngine"]
 
 
 class FleetSearch:
-    """Scratch for whole-fleet binary searches over a descending (R, n) fleet.
+    """Scratch for whole-fleet searches over a descending (R, n) fleet.
 
     ``key`` is the flat key ``key[r·n + j] = r·B − V[r, j]``.  Rows are
     descending, so each row's block ascends; with every load in
@@ -80,12 +84,19 @@ class FleetSearch:
     The kernels keep ``key`` in step with each ±1 edit in O(R) and
     rebuild it once per segment (:meth:`rekey`).
 
-    :meth:`cumsum` fills a flat fleet cumsum with a leading 0
-    (``csum[k] = Σ_{i<k} V.flat[i]``); loads are ≥ 0, so it is
-    non-decreasing and the ball-removal inversion searches it the same
-    way (:meth:`BallRemoval.quantile_batch_into`).
+    ``S`` holds per-row block sums: ``S[r, c]`` is the sum of row r's
+    bins ``c·b`` to ``c·b + b − 1`` (the last block ragged), with
+    b = ⌊√n⌋.  It is None until :meth:`reblock` builds it, which the
+    process does only for removal laws that read it
+    (``RemovalLaw.block_sums``) and only where the loads are replaced
+    wholesale; the kernels keep it in step with each edit in O(R),
+    beside the key (:meth:`block`).  Ball
+    removal asks it for row totals (:meth:`totals`) and for the bin
+    holding ball k of each row (:meth:`ball_bins`): one search over the
+    flat prefix sums of ``S`` picks the block, one count inside that
+    block picks the bin, so no O(R·n) pass is left in a step.
 
-    Both arrays are int32 iff ``R·(bound + 1) < 2³¹`` and int64
+    Every array is int32 iff ``R·(bound + 1) < 2³¹`` and int64
     otherwise, where *bound* caps every row sum (None: no cap).  Every
     needle is cast to that dtype (:meth:`needles`): numpy would
     otherwise upcast a whole int32 haystack for an int64 needle on
@@ -95,32 +106,92 @@ class FleetSearch:
     def __init__(self, R: int, n: int, bound: int | None):
         wide = bound is None or R * (bound + 1) >= 2**31
         self.dtype = np.dtype(np.int64 if wide else np.int32)
-        #: Flat index of each row's bin 0.
+        #: Flat index of each row's bin 0 and of its last bin.
         self.start = np.arange(R) * n
+        self.last = self.start + (n - 1)
         self.key = np.empty(R * n, dtype=self.dtype)
         self.offset = np.zeros(R, dtype=self.dtype)
-        self._csum: np.ndarray | None = None
+        self.b = max(1, math.isqrt(n))
+        self.S: np.ndarray | None = None
+        # Prefix sums of the flat S with a leading 0 (see totals()).
+        self._pre: np.ndarray | None = None
+        blocks = -(-n // self.b)
+        #: Flat index into ``S`` of each row's block 0.
+        self.bstart = np.arange(R) * blocks
+        # (r·n + j + shift[r]) // b = r·blocks + j // b, the flat block
+        # of row r's bin j, since shift[r] = r·(blocks·b − n).
+        self._shift = self.bstart * self.b - self.start
+        self._span = np.arange(self.b)[:, None]
 
     def rekey(self, V: np.ndarray, B: int) -> None:
         """Rebuild ``key`` from *V*; loads must stay below *B* until the next rekey."""
         self.offset = np.arange(V.shape[0], dtype=self.dtype) * B
         np.subtract(self.offset[:, None], V, out=self.key.reshape(V.shape))
 
+    def reblock(self, V: np.ndarray) -> None:
+        """(Re)build ``S`` from *V* (construction and restored snapshots only)."""
+        edges = np.arange(0, V.shape[1], self.b)
+        if self.S is None:
+            self.S = np.empty((V.shape[0], edges.size), dtype=self.dtype)
+            self._pre = np.zeros(self.S.size + 1, dtype=self.dtype)
+        np.add.reduceat(V, edges, axis=1, dtype=self.dtype, out=self.S)
+
     def first(self, rows: np.ndarray | None) -> np.ndarray:
         """Flat index of bin 0 of each of *rows* (None: every row)."""
-        return self.start if rows is None else self.start[rows]
+        return _take(self.start, rows)
 
     def needles(self, rows: np.ndarray | None, vals) -> np.ndarray:
         """Key values ``r·B − vals`` of *rows*, in the key's dtype."""
-        off = self.offset if rows is None else self.offset[rows]
-        return np.subtract(off, vals, dtype=self.dtype)
+        return np.subtract(_take(self.offset, rows), vals, dtype=self.dtype)
 
-    def cumsum(self, V: np.ndarray) -> np.ndarray:
-        """The flat fleet cumsum with a leading 0 (allocated on first use)."""
-        if self._csum is None:
-            self._csum = np.zeros(V.size + 1, dtype=self.dtype)
-        np.cumsum(V.reshape(-1), dtype=self.dtype, out=self._csum[1:])
-        return self._csum
+    def block(self, rows: np.ndarray | None, pos: np.ndarray) -> np.ndarray:
+        """Flat index into ``S`` of the block holding flat bin *pos* of each of *rows*."""
+        j = pos + _take(self._shift, rows)
+        j //= self.b
+        return j
+
+    def totals(self, rows: np.ndarray | None) -> np.ndarray:
+        """Balls in each of *rows*, read off fresh prefix sums of ``S``.
+
+        The prefix sums stay for :meth:`ball_bins`, which must follow
+        with no edit in between.
+        """
+        pre = self._pre
+        np.add.accumulate(self.S.reshape(-1), dtype=self.dtype, out=pre[1:])
+        b0 = _take(self.bstart, rows)
+        return pre[b0 + self.S.shape[1]] - pre[b0]
+
+    def ball_bins(
+        self, V: np.ndarray, rows: np.ndarray | None, k: np.ndarray
+    ) -> np.ndarray:
+        """Row-local bin holding ball *k* (0-based) of each of *rows*.
+
+        Row r's balls are ``pre[b0]`` up to ``pre[b0 + blocks]`` of the
+        prefix sums :meth:`totals` left, so one search for
+        ``pre[b0] + k`` lands on the block holding the ball without
+        leaving row r; inside that block (its bins gathered, clipped at
+        the row's last bin) the bin is the count of cumulative sums at
+        or below the ball's rank in the block.
+        """
+        pre = self._pre
+        b0 = _take(self.bstart, rows)
+        ball = np.add(pre[b0], k, dtype=self.dtype)
+        # pre[1:] holds each block's end: the ends ≤ ball count the
+        # blocks before the one holding it.
+        blk = pre[1:].searchsorted(ball, side="right")
+        rank = ball - pre[blk]
+        lo = (blk - b0) * self.b
+        # The blocks as (b, rows) columns: accumulate and count run
+        # down axis 0, over contiguous rows of the gather.
+        idx = self._span + (self.first(rows) + lo)
+        np.minimum(idx, _take(self.last, rows), out=idx)
+        cs = np.add.accumulate(V.reshape(-1)[idx], dtype=self.dtype)
+        return lo + (cs <= rank).sum(axis=0)
+
+
+def _take(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """*a*'s entries for *rows* (None: all of *a*)."""
+    return a if rows is None else a[rows]
 
 
 def _counts_desc(
@@ -192,6 +263,8 @@ class VectorizedProcess:
             self._flat = np.empty(replicas * self._n, dtype=np.int64)
         else:
             self._fleet = FleetSearch(replicas, self._n, bound)
+            if self._law.block_sums:
+                self._fleet.reblock(self._V)
 
     # -- state access ---------------------------------------------------------
 
@@ -313,7 +386,7 @@ class VectorizedProcess:
         *at* holds the flat index of the sampled bin in each row; the
         edit lands at the last (⊖) or first (⊕) index of that bin's
         value-run, found by one key search (:func:`_counts_desc`), and
-        the key follows the load in O(R).
+        the key and the block sums follow the load in O(R).
         """
         Vf = self._V.reshape(-1)
         vals = Vf[at]
@@ -323,16 +396,19 @@ class VectorizedProcess:
         else:
             pos = _counts_desc(self._fleet, rows, vals, "left")
         Vf[pos] += delta
-        self._fleet.key[pos] -= delta
+        fleet = self._fleet
+        fleet.key[pos] -= delta
+        if fleet.S is not None:
+            fleet.S.reshape(-1)[fleet.block(rows, pos)] += delta
 
     def _advance_closed(self, T: int, hist: np.ndarray | None = None) -> None:
         """T fused closed phases: one slab draw, no per-row Python loop.
 
-        Per step the removal inversion is one search over the whole
-        fleet (:meth:`RemovalLaw.quantile_batch_into`), and each Fact
-        3.2 edit is one search over the fleet key (:meth:`_edit`) — a
-        handful of numpy calls per phase whatever R is, and no O(R·n)
-        pass beyond ball removal's cumsum.
+        Per step the removal inversion searches the whole fleet at once
+        (:meth:`RemovalLaw.quantile_batch_into`; ball removal through
+        the block sums), and each Fact 3.2 edit is one search over the
+        fleet key (:meth:`_edit`) — a handful of numpy calls per phase
+        whatever R is, and for ball and bin removal no O(R·n) pass.
         """
         p = self.spec.p_relocate
         k = 4 if p > 0 else 2
@@ -499,6 +575,8 @@ class VectorizedProcess:
             )
         self._check_rows(V)
         self._V[:] = V
+        if self._q is None and self._fleet.S is not None:
+            self._fleet.reblock(self._V)
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])
         self.relocations = int(state.get("relocations", 0))

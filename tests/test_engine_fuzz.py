@@ -92,7 +92,7 @@ def test_seed_grid_hits_boundary_shapes():
     specs = registered_specs()
     cfgs = sample_configs(200, seed=0)
     assert {1, 2} <= {c.n for c in cfgs}
-    # Loads fit int32, the fleet key and cumsum do not: sequential
+    # Loads fit int32, the fleet key and block sums do not: sequential
     # closed specs search wide scratch over a narrowed fleet.
     wide = [
         c for c in cfgs

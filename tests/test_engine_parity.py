@@ -592,27 +592,47 @@ def test_grand_coupling_rejects_synchronous_specs():
 
 @pytest.mark.parametrize("law", LAWS, ids=[law.name for law in LAWS])
 def test_quantile_batch_into_matches_quantile_batch(law):
-    """The whole-fleet search variant equals the allocating one."""
+    """The whole-fleet search variant equals the allocating one.
+
+    On a random fleet and on the nonempty rows of the block-boundary
+    fleets of :func:`_search_fleets`, at random u, at the u extremes and
+    at every ball rank of every row (so at a ball in each block's last
+    bin, the ragged last block's included), on every row and on row
+    subsets.
+    """
     from repro.engine.vectorized import FleetSearch
 
     rng = np.random.default_rng(23)
-    V = np.array([LoadVector.random(10, 7, rng).loads for _ in range(25)])
-    u = rng.random(V.shape[0])
+    fleets = [np.array([LoadVector.random(10, 7, rng).loads for _ in range(25)])]
+    fleets += [
+        V[V.sum(axis=1) > 0]
+        for name, V in sorted(_search_fleets().items())
+        if name.startswith("blocks")
+    ]
+    last = np.nextafter(1.0, 0.0)
 
     def fleet_for(V):
-        fleet = FleetSearch(*V.shape, bound=10)
-        fleet.rekey(V, 11)
+        fleet = FleetSearch(*V.shape, bound=int(V.sum(axis=1).max()))
+        fleet.rekey(V, int(V.max()) + 1)
+        fleet.reblock(V)
         return fleet
 
-    np.testing.assert_array_equal(
-        law.quantile_batch_into(V, u, fleet_for(V)), law.quantile_batch(V, u)
-    )
-    # int32 fleets (the narrowed batched layout) agree too.
-    V32 = V.astype(np.int32)
-    np.testing.assert_array_equal(
-        law.quantile_batch_into(V32, u, fleet_for(V32)),
-        law.quantile_batch(V, u),
-    )
+    for V in fleets:
+        R = V.shape[0]
+        m = V.sum(axis=1)
+        us = [rng.random(R), np.zeros(R), np.full(R, last)]
+        # Ball k of each row (its last ball once k ≥ m).
+        us += [np.minimum((k + 0.5) / m, last) for k in range(int(m.max()))]
+        # int32 fleets (the narrowed batched layout) agree too.
+        for Vd in (V, V.astype(np.int32)):
+            fleet = fleet_for(Vd)
+            for u in us:
+                for rows in (None, np.arange(0, R, 2), np.array([R - 1])):
+                    ids = slice(None) if rows is None else rows
+                    np.testing.assert_array_equal(
+                        law.quantile_batch_into(Vd, u[ids], fleet, rows),
+                        law.quantile_batch(V[ids], u[ids]),
+                    )
 
 
 def test_batched_parity_via_fuzzkit():
@@ -636,10 +656,17 @@ def test_batched_parity_via_fuzzkit():
 # ---------------------------------------------------------------------------
 
 def _search_fleets():
-    """Descending fleets with the boundary rows the kernels meet."""
+    """Descending fleets with the boundary rows the kernels meet.
+
+    The ``blocks_n*`` fleets sit at the edges of ball removal's block
+    sums (b = ⌊√n⌋ bins a block): n = 1, 2, 3, 4² = 16 and 4² ± 1, 34
+    (a ragged last block of 4 bins) and 37 (one of 1 bin).  Each holds
+    a crash row (all-zero trailing blocks), an all-ones row (a ball in
+    every block's last bin), a random row and an empty row.
+    """
     rng = np.random.default_rng(41)
     mixed = [LoadVector.random(9, 6, rng).loads for _ in range(5)]
-    return {
+    fleets = {
         "mixed": np.array(mixed),
         "all_equal": np.full((4, 5), 3),
         # Open fleets: empty rows between and around nonempty ones.
@@ -648,6 +675,14 @@ def _search_fleets():
         ),
         "n1": np.array([[5], [0], [2], [7]]),
     }
+    for n in (1, 2, 3, 15, 16, 17, 34, 37):
+        fleets[f"blocks_n{n}"] = np.array([
+            LoadVector.all_in_one(n + 1, n).loads,
+            np.ones(n, dtype=np.int64),
+            LoadVector.random(2 * n, n, rng).loads,
+            np.zeros(n, dtype=np.int64),
+        ])
+    return fleets
 
 
 def _row_count(V, r, x, ge):
@@ -689,6 +724,7 @@ def test_removal_into_on_row_subsets(law, name):
     R, n = V.shape
     fleet = FleetSearch(R, n, bound=int(V.sum(axis=1).max()))
     fleet.rekey(V, int(V.max()) + 1)
+    fleet.reblock(V)
     nonempty = np.nonzero(V.sum(axis=1) > 0)[0]
     u = np.random.default_rng(5).random(R)
     for rows in (nonempty, nonempty[::2], nonempty[-1:]):
@@ -705,12 +741,47 @@ def test_removal_into_on_row_subsets(law, name):
         )
 
 
+@pytest.mark.parametrize("spec", ["scenario_a", "relocation", "open_ball"])
+def test_block_sums_follow_the_loads(spec):
+    """The block sums the edits maintain equal a fresh per-block sum of V.
+
+    Checked after ``run_batched``, after ``recovery_times`` at batch 1
+    and 64, and after ``load_state`` onto a fleet that had moved
+    elsewhere; n = 37 ends in a ragged block of one bin.
+    """
+    n = 37
+    m = 5 if SPECS[spec].kind == "open" else 60
+    start = LoadVector.random(m, n, np.random.default_rng(2))
+
+    def assert_fresh(bp):
+        b = bp._fleet.b
+        fresh = np.stack(
+            [bp.loads[:, c:c + b].sum(axis=1) for c in range(0, n, b)], axis=1
+        )
+        np.testing.assert_array_equal(bp._fleet.S, fresh)
+
+    bp = VectorizedEngine.make(SPECS[spec], start, 5, seed=4)
+    assert_fresh(bp)
+    bp.run_batched(300, batch=64)
+    assert_fresh(bp)
+    for batch in (1, 64):
+        bp.recovery_times(0, 150, batch=batch)
+        assert_fresh(bp)
+    other = VectorizedEngine.make(SPECS[spec], start, 5, seed=5)
+    other.run_batched(100, batch=7)
+    other.load_state(bp.state_dict())
+    assert_fresh(other)
+    other.run_batched(50, batch=7)
+    assert_fresh(other)
+
+
 @pytest.mark.parametrize("spec", ["scenario_a", "scenario_b", "relocation"])
 def test_forced_wide_scratch_bitwise(spec):
     """int32 loads, int64 search scratch: the kernels stay bitwise.
 
     With R = 3 and m = 1.5·10⁹ every load fits int32, but the fleet key
-    and cumsum reach (R − 1)·(m + 1), which does not.
+    and the prefix sums of the block sums reach (R − 1)·(m + 1), which
+    does not.
     """
     from tests import fuzzkit
 
@@ -722,7 +793,10 @@ def test_forced_wide_scratch_bitwise(spec):
     )
     bp.run_batched(5, batch=2)
     assert bp.loads.dtype == np.int32
-    assert bp._fleet.dtype == np.int64 and bp._fleet.key.dtype == np.int64
+    fleet = bp._fleet
+    assert fleet.dtype == fleet.key.dtype == np.int64
+    # Only ball removal reads (so keeps) block sums.
+    assert fleet.S is None if spec == "scenario_b" else fleet.S.dtype == np.int64
 
 
 @pytest.mark.parametrize("spec, start", [
@@ -748,6 +822,37 @@ def test_batched_bitwise_while_loads_grow(spec, start):
         np.testing.assert_array_equal(ref["V"], b.loads)
         assert ref["rng"] == b._rng.bit_generator.state
         assert (ref["t"], ref["relocations"]) == (b.t, b.relocations)
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64])
+@pytest.mark.parametrize(
+    "spec", ["scenario_a", "scenario_b", "relocation", "rbb_twochoice"]
+)
+def test_recovery_times_match_a_stepwise_scan(spec, batch):
+    """``recovery_times`` equals the hitting times of a twin moved by ``step()``.
+
+    The twin's ``max_loads()`` are read after every single step, so the
+    batched scan over each segment's max-load history is checked
+    against the definition of the hitting time.  A second call caps
+    *max_steps* at the median hitting time, so some replicas report −1.
+    """
+    n, m, R, target = 8, 24, 12, 4
+    start = LoadVector.all_in_one(m, n)
+    twin = VectorizedEngine.make(SPECS[spec], start, R, seed=3)
+    want = np.where(twin.max_loads() <= target, 0, -1)
+    k = 0
+    while (want < 0).any() and k < 100_000:
+        k += 1
+        twin.step()
+        want[(want < 0) & (twin.max_loads() <= target)] = k
+    cap = int(np.median(want))
+    capped = np.where(want <= cap, want, -1)
+    assert (want > 0).all() and (capped == -1).any()
+    for max_steps, expect in ((k, want), (cap, capped)):
+        bp = VectorizedEngine.make(SPECS[spec], start, R, seed=3)
+        np.testing.assert_array_equal(
+            bp.recovery_times(target, max_steps, batch=batch), expect
+        )
 
 
 def test_bounded_fleet_is_int32_from_construction():
