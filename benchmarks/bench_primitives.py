@@ -4,9 +4,15 @@ Per the optimization workflow (profile before optimizing), these pin
 the per-step costs that dominate every experiment: the Fact 3.2 update,
 the Fenwick 𝒜(v) draw, one simulator phase of each process, and an
 ABKU insertion draw.  Regressions here slow every table above.
+
+``test_scalar_phase_independent_of_n`` is a plain pytest gate, not a
+bench: 2,000 scalar scenario-B phases at n = 2¹⁷ must cost under twice
+as much as at n = 2¹⁰, which a phase with any O(n) pass (such as a
+negated copy of the loads per Fact 3.2 search) cannot meet on any host.
 """
 
 import numpy as np
+from conftest import paired_overhead_ratio
 
 from repro.balls.load_vector import LoadVector, ominus_index, oplus_index
 from repro.balls.rules import ABKURule
@@ -62,3 +68,21 @@ def test_bench_scenario_b_phase(benchmark):
 def test_bench_edge_orientation_step(benchmark):
     proc = EdgeOrientationProcess(N, seed=5)
     benchmark(proc.step)
+
+
+def test_scalar_phase_independent_of_n(capsys):
+    small, big = (
+        ScenarioBProcess(ABKURule(2), LoadVector.random(n, n, 6), seed=6)
+        for n in (2**10, 2**17)
+    )
+    for proc in (small, big):
+        proc.run(2000)  # warmup
+    ratio, t_small, t_big = paired_overhead_ratio(
+        lambda: small.run(2000), lambda: big.run(2000)
+    )
+    with capsys.disabled():
+        print(
+            f"\n2000 scenario-B phases: n=2^10 {1e3 * t_small:.2f} ms, "
+            f"n=2^17 {1e3 * t_big:.2f} ms, ratio {ratio:.2f}"
+        )
+    assert ratio < 2, f"phase cost grew {ratio:.2f}x for 128x the bins"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.balls.load_vector import count_above
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -42,7 +43,7 @@ def removal_distribution_a(v: np.ndarray) -> np.ndarray:
 
 def removal_distribution_b(v: np.ndarray) -> np.ndarray:
     """Exact pmf of ℬ(v): Pr[i] = 1/s for i < s, else 0 (Definition 3.3)."""
-    s = int(np.searchsorted(-v, 0, side="left"))
+    s = count_above(v, 0)
     if s <= 0:
         raise ValueError("B(v) is undefined for the empty state")
     p = np.zeros(v.shape[0], dtype=np.float64)
@@ -69,7 +70,7 @@ def quantile_removal_a(v: np.ndarray, u: float) -> int:
 
 def quantile_removal_b(v: np.ndarray, u: float) -> int:
     """Inverse-CDF of ℬ(v) at u ∈ [0, 1): bin ⌊u·s⌋ among the s nonempty."""
-    s = int(np.searchsorted(-v, 0, side="left"))
+    s = count_above(v, 0)
     if s <= 0:
         raise ValueError("B(v) is undefined for the empty state")
     i = int(u * s)
@@ -85,7 +86,7 @@ def sample_removal_a(v: np.ndarray, seed: SeedLike = None) -> int:
 def sample_removal_b(v: np.ndarray, seed: SeedLike = None) -> int:
     """Draw a bin index from ℬ(v)."""
     rng = as_generator(seed)
-    s = int(np.searchsorted(-v, 0, side="left"))
+    s = count_above(v, 0)
     if s <= 0:
         raise ValueError("B(v) is undefined for the empty state")
     return int(rng.integers(0, s))

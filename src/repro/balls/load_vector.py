@@ -11,10 +11,12 @@ bins is irrelevant — §3.3).  The paper's two primitive operations are
 Fact 3.2 says both can be done without sorting: adding a ball at *i*
 increments position ``j = min{t : v_t = v_i}`` (the first bin of the run
 of equal loads), removing decrements ``s = max{t : v_t = v_i}`` (the last
-bin of the run).  Both are O(log n) via binary search on the descending
-array; that is what the module-level helpers :func:`oplus_index` /
-:func:`ominus_index` compute and what every simulator in this package
-uses in its inner loop.
+bin of the run).  In a descending array those are counts: ``j = #{t :
+v_t > v_i}`` and ``s = #{t : v_t ≥ v_i} − 1``.  :func:`count_above` and
+:func:`count_at_least` answer them with one O(log n) binary search on the
+live array, copying nothing of size n; :func:`oplus_index` /
+:func:`ominus_index` (what every simulator in this package uses in its
+inner loop) and every nonempty count s = #{t : v_t > 0} go through them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from repro.utils.validation import check_load_vector, check_positive_int
 
 __all__ = [
     "LoadVector",
+    "count_above",
+    "count_at_least",
     "oplus_index",
     "ominus_index",
     "oplus",
@@ -38,28 +42,45 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Module-level primitives on raw descending int64 arrays (hot path)
+# Module-level primitives on raw descending integer arrays (hot path)
 # ---------------------------------------------------------------------------
 
-def _first_of_run(v: np.ndarray, i: int) -> int:
-    """First index j with v[j] == v[i] in the descending array *v*."""
-    # Descending array: negate to search ascending.
-    return int(np.searchsorted(-v, -v[i], side="left"))
+def count_above(v: np.ndarray, x: int) -> int:
+    """#{j : v[j] > x} for an integer *x* in the descending array *v*, in O(log n).
+
+    The needle is cast to ``v.dtype``: a wider one would make numpy
+    copy the whole haystack to the wider type (see :func:`_count_desc`).
+    """
+    return _count_desc(v, v.dtype.type(x), "right")
 
 
-def _last_of_run(v: np.ndarray, i: int) -> int:
-    """Last index s with v[s] == v[i] in the descending array *v*."""
-    return int(np.searchsorted(-v, -v[i], side="right")) - 1
+def count_at_least(v: np.ndarray, x: int) -> int:
+    """#{j : v[j] ≥ x} for an integer *x* in the descending array *v*, in O(log n).
+
+    The needle is cast as in :func:`count_above`.
+    """
+    return _count_desc(v, v.dtype.type(x), "left")
+
+
+def _count_desc(v: np.ndarray, x: np.generic, side: str) -> int:
+    """``n − #{v ≤ x}`` (*side* ``'right'``) or ``n − #{v < x}`` (``'left'``).
+
+    ``v[::-1]`` is an ascending view that numpy searches in place; *x*
+    must already have ``v.dtype``.
+    """
+    return v.shape[0] - int(v[::-1].searchsorted(x, side))
 
 
 def oplus_index(v: np.ndarray, i: int) -> int:
     """Index actually incremented by ``v ⊕ e_i`` (Fact 3.2: min of run)."""
-    return _first_of_run(v, i)
+    # count_above(v, v[i]) without the cast: v[i] already has v's dtype.
+    return _count_desc(v, v[i], "right")
 
 
 def ominus_index(v: np.ndarray, i: int) -> int:
     """Index actually decremented by ``v ⊖ e_i`` (Fact 3.2: max of run)."""
-    return _last_of_run(v, i)
+    # count_at_least(v, v[i]) − 1, without the cast.
+    return _count_desc(v, v[i], "left") - 1
 
 
 def oplus(v: np.ndarray, i: int) -> np.ndarray:
@@ -214,7 +235,7 @@ class LoadVector:
     @property
     def num_nonempty(self) -> int:
         """s = max{i : v_i > 0}, the count of nonempty bins (0 if empty)."""
-        return int(np.searchsorted(-self._v, 0, side="left"))
+        return count_above(self._v, 0)
 
     def is_normalized(self) -> bool:
         """True iff non-increasing (always holds by construction)."""

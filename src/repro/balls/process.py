@@ -24,7 +24,7 @@ from typing import Callable, Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, ominus_index, oplus_index
+from repro.balls.load_vector import LoadVector, count_above, ominus_index, oplus_index
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["DynamicAllocationProcess", "StatFn", "max_load_stat", "nonempty_stat"]
@@ -39,7 +39,7 @@ def max_load_stat(v: np.ndarray) -> float:
 
 def nonempty_stat(v: np.ndarray) -> float:
     """Statistic: number of nonempty bins."""
-    return float(np.searchsorted(-v, 0, side="left"))
+    return float(count_above(v, 0))
 
 
 class DynamicAllocationProcess(ABC):

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.balls.load_vector import LoadVector
+from repro.balls.load_vector import LoadVector, count_above
 from repro.balls.process import DynamicAllocationProcess
 from repro.utils.rng import SeedLike
 
@@ -68,7 +68,7 @@ class RBBProcess(DynamicAllocationProcess):
 
     def step(self) -> None:
         v = self._v
-        s = int(np.searchsorted(-v, 0, side="left"))
+        s = count_above(v, 0)
         v[:s] -= 1
         q = self._q if self._q is not None else self.rule.insertion_distribution(v)
         if s > 0:

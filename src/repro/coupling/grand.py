@@ -26,7 +26,14 @@ from typing import Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, ominus, oplus, oplus_index
+from repro.balls.load_vector import (
+    LoadVector,
+    count_above,
+    count_at_least,
+    ominus,
+    oplus,
+    oplus_index,
+)
 from repro.balls.rules import SchedulingRule
 from repro.engine.spec import ProcessSpec, scenario_a_spec, scenario_b_spec
 from repro.utils.rng import SeedLike, as_generator, spawn_generators
@@ -295,15 +302,15 @@ def _rank_move(d: np.ndarray, phi: int, psi: int) -> None:
     a = int(d[phi])
     b = int(d[psi])
     if a == b:
-        lo = int(np.searchsorted(-d, -a, side="left"))
-        hi = int(np.searchsorted(-d, -a, side="right")) - 1
+        lo = count_above(d, a)
+        hi = count_at_least(d, a) - 1
         d[lo] += 1
         d[hi] -= 1
     elif a == b + 1:
         return
     else:
-        hi = int(np.searchsorted(-d, -a, side="right")) - 1
-        lo = int(np.searchsorted(-d, -b, side="left"))
+        hi = count_at_least(d, a) - 1
+        lo = count_above(d, b)
         d[hi] -= 1
         d[lo] += 1
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.balls.load_vector import delta_distance, ominus, oplus
+from repro.balls.load_vector import count_above, delta_distance, ominus, oplus
 from repro.balls.right_oriented import iter_sources
 from repro.balls.rules import SchedulingRule
 from repro.coupling.scenario_a_coupling import (
@@ -50,7 +50,7 @@ __all__ = [
 
 
 def _nonempty(v: np.ndarray) -> int:
-    return int(np.searchsorted(-v, 0, side="left"))
+    return count_above(v, 0)
 
 
 def removal_cases_b(

@@ -28,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector
+from repro.balls.load_vector import LoadVector, count_above
 from repro.balls.process import DynamicAllocationProcess
 from repro.engine.spec import BallRemoval, BinRemoval, ProcessSpec
 from repro.utils.fenwick import FenwickTree
@@ -64,15 +64,7 @@ class SpecProcess(DynamicAllocationProcess):
         self._law = spec.removal
         self._m = int(self._v.sum())
         self.relocations = 0
-        # Fast paths mirror the load array; relocation moves would
-        # desynchronize them, so they only engage at p_relocate = 0.
-        self._fenwick: FenwickTree | None = None
-        self._s = -1
-        if spec.p_relocate == 0.0:
-            if isinstance(self._law, BallRemoval):
-                self._fenwick = FenwickTree(self._v)
-            elif isinstance(self._law, BinRemoval):
-                self._s = int(np.searchsorted(-self._v, 0, side="left"))
+        self._sync_derived()
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -84,15 +76,17 @@ class SpecProcess(DynamicAllocationProcess):
         self.relocations = int(state.get("relocations", 0))
 
     def _sync_derived(self) -> None:
-        # Rebuild the per-law fast-path mirrors from the restored loads
-        # (same construction as __init__; checkpoints never carry them).
-        self._fenwick = None
+        # Build the per-law fast-path mirrors from the loads (at
+        # construction and on restore; checkpoints never carry them).
+        # Relocation moves would desynchronize them, so they only
+        # engage at p_relocate = 0.
+        self._fenwick: FenwickTree | None = None
         self._s = -1
         if self.spec.p_relocate == 0.0:
             if isinstance(self._law, BallRemoval):
                 self._fenwick = FenwickTree(self._v)
             elif isinstance(self._law, BinRemoval):
-                self._s = int(np.searchsorted(-self._v, 0, side="left"))
+                self._s = count_above(self._v, 0)
 
     def _obs_account(self, steps: int) -> None:
         super()._obs_account(steps)

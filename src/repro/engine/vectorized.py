@@ -6,8 +6,9 @@ process.  Rather than looping replicas in Python, this engine keeps an
 step with whole-array NumPy operations — the "vectorize the loop over
 replicas" idiom of the HPC guides.  Under ball or bin removal a
 sequential step is a handful of numpy calls whatever R is, none of
-which passes over the whole (R, n) matrix: that happens once per
-segment of up to *batch* phases, when the search key is rebuilt.
+which passes over the whole (R, n) matrix: only an open fleet without
+a ball cap rebuilds its search key, once per segment of up to *batch*
+phases.
 
 The Fact 3.2 updates vectorize through counting comparisons: in a
 descending row, the *first* index of the value-v run is ``#{entries >
@@ -81,8 +82,10 @@ class FleetSearch:
     later row's, so the whole key ascends.  A search for ``r·B − x``
     therefore stays inside row r, and one ``searchsorted`` call answers
     a Fact 3.2 count for any set of rows at once (:func:`_counts_desc`).
-    The kernels keep ``key`` in step with each ±1 edit in O(R) and
-    rebuild it once per segment (:meth:`rekey`).
+    The kernels keep ``key`` in step with each ±1 edit in O(R).  A
+    bounded fleet keys once (:meth:`rekey`) with B = bound + 1, where
+    the loads are replaced wholesale; an open fleet without a ball cap
+    rekeys once per segment with a B that segment cannot outgrow.
 
     ``S`` holds per-row block sums: ``S[r, c]`` is the sum of row r's
     bins ``c·b`` to ``c·b + b − 1`` (the last block ragged), with
@@ -263,8 +266,7 @@ class VectorizedProcess:
             self._flat = np.empty(replicas * self._n, dtype=np.int64)
         else:
             self._fleet = FleetSearch(replicas, self._n, bound)
-            if self._law.block_sums:
-                self._fleet.reblock(self._V)
+            self._index()
 
     # -- state access ---------------------------------------------------------
 
@@ -352,6 +354,19 @@ class VectorizedProcess:
         """Cap on every row sum, hence every load (None: unbounded open)."""
         return self._m if self.spec.kind == "closed" else self.spec.max_balls
 
+    def _index(self) -> None:
+        """Rebuild the search scratch from the loads (construction, :meth:`load_state`).
+
+        Every load of a bounded fleet stays below B = bound + 1, so its
+        key is built here once and the edits keep it in step; an
+        uncapped open fleet is keyed per segment in :meth:`_advance`.
+        """
+        bound = self._bound()
+        if bound is not None:
+            self._fleet.rekey(self._V, bound + 1)
+        if self._law.block_sums:
+            self._fleet.reblock(self._V)
+
     def _advance(self, T: int, hist: np.ndarray | None = None) -> None:
         """Advance the fleet one segment of T phases: the one stepping path.
 
@@ -370,11 +385,10 @@ class VectorizedProcess:
                 if hist is not None:
                     hist[i] = self._V[:, 0]
             return
-        # A load grows by at most one per phase and never past the
-        # row-sum cap, so B bounds every load of the segment.
-        top = int(self._V[:, 0].max()) + T
-        bound = self._bound()
-        self._fleet.rekey(self._V, (top if bound is None else min(top, bound)) + 1)
+        if self._bound() is None:
+            # A load grows by at most one per phase, so B bounds every
+            # load of the segment.
+            self._fleet.rekey(self._V, int(self._V[:, 0].max()) + T + 1)
         if self.spec.kind == "closed":
             self._advance_closed(T, hist)
         else:
@@ -575,8 +589,8 @@ class VectorizedProcess:
             )
         self._check_rows(V)
         self._V[:] = V
-        if self._q is None and self._fleet.S is not None:
-            self._fleet.reblock(self._V)
+        if self._q is None:
+            self._index()
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])
         self.relocations = int(state.get("relocations", 0))

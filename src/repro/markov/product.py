@@ -189,14 +189,14 @@ def build_coupled_chain_a(rule, n: int, m: int) -> CoupledChain:
 def build_coupled_chain_b(rule, n: int, m: int) -> CoupledChain:
     """Exact pair chain of the §5 coupling (grand-extended off Γ)."""
     from repro.balls.distributions import quantile_removal_b
-    from repro.balls.load_vector import delta_distance, ominus, oplus
+    from repro.balls.load_vector import count_above, delta_distance, ominus, oplus
     from repro.balls.right_oriented import iter_sources
     from repro.coupling.scenario_b_coupling import exact_joint_outcomes_b
 
     def joint(a: np.ndarray, b: np.ndarray):
         if np.array_equal(a, b):
             out: dict = {}
-            s = int(np.searchsorted(-a, 0, side="left"))
+            s = count_above(a, 0)
             for i in range(s):
                 p_rm = 1.0 / s
                 astar = ominus(a, i)
@@ -210,8 +210,8 @@ def build_coupled_chain_b(rule, n: int, m: int) -> CoupledChain:
         if delta_distance(a, b) == 1:
             return exact_joint_outcomes_b(rule, a, b)
         out = {}
-        s1 = int(np.searchsorted(-a, 0, side="left"))
-        s2 = int(np.searchsorted(-b, 0, side="left"))
+        s1 = count_above(a, 0)
+        s2 = count_above(b, 0)
         grid = s1 * s2  # common refinement of the two uniform grids
         for k in range(grid):
             u = (k + 0.5) / grid

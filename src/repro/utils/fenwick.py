@@ -20,10 +20,13 @@ class FenwickTree:
     """Prefix-sum tree over ``n`` non-negative integer weights.
 
     Supports point update, prefix sum, and inverse-CDF search (``find``),
-    each in O(log n).  Weights are stored as int64; the total must fit.
+    each in O(log n); :meth:`add` keeps the total, so reading it (and
+    ``find``'s range check) is O(1).  Weights are read in as int64; the
+    tree is a Python list of ints, since each step of a walk reads one
+    entry and a list read costs a fraction of a numpy scalar read.
     """
 
-    __slots__ = ("_n", "_tree")
+    __slots__ = ("_n", "_tree", "_total")
 
     def __init__(self, weights: Iterable[int] | Sequence[int] | np.ndarray):
         w = np.asarray(list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=np.int64)
@@ -31,15 +34,15 @@ class FenwickTree:
             raise ValueError("weights must be one-dimensional")
         if (w < 0).any():
             raise ValueError("weights must be non-negative")
-        self._n = int(w.shape[0])
+        self._n = n = int(w.shape[0])
         # Linear-time construction: tree[i] accumulates its child ranges.
-        tree = np.zeros(self._n + 1, dtype=np.int64)
-        tree[1:] = w
-        for i in range(1, self._n + 1):
+        tree = [0] + w.tolist()
+        for i in range(1, n + 1):
             parent = i + (i & -i)
-            if parent <= self._n:
+            if parent <= n:
                 tree[parent] += tree[i]
         self._tree = tree
+        self._total = int(w.sum())
 
     def __len__(self) -> int:
         return self._n
@@ -47,12 +50,13 @@ class FenwickTree:
     @property
     def total(self) -> int:
         """Sum of all weights."""
-        return self.prefix_sum(self._n)
+        return self._total
 
     def add(self, index: int, delta: int) -> None:
         """Add *delta* to the weight at zero-based *index*."""
         if not 0 <= index < self._n:
             raise IndexError(f"index {index} out of range [0, {self._n})")
+        self._total += delta
         i = index + 1
         tree = self._tree
         n = self._n
@@ -83,8 +87,8 @@ class FenwickTree:
         ``[0, total)``, returns an index distributed proportionally to
         the weights.  Raises if *target* is out of range.
         """
-        if target < 0 or target >= self.total:
-            raise ValueError(f"target {target} out of range [0, {self.total})")
+        if target < 0 or target >= self._total:
+            raise ValueError(f"target {target} out of range [0, {self._total})")
         idx = 0
         bitmask = 1 << (self._n.bit_length())
         tree = self._tree

@@ -743,22 +743,28 @@ def test_removal_into_on_row_subsets(law, name):
 
 @pytest.mark.parametrize("spec", ["scenario_a", "relocation", "open_ball"])
 def test_block_sums_follow_the_loads(spec):
-    """The block sums the edits maintain equal a fresh per-block sum of V.
+    """The block sums and the key the edits maintain equal fresh ones from V.
 
-    Checked after ``run_batched``, after ``recovery_times`` at batch 1
-    and 64, and after ``load_state`` onto a fleet that had moved
-    elsewhere; n = 37 ends in a ragged block of one bin.
+    A bounded fleet is keyed once, with B = bound + 1, so its key must
+    read ``r·(bound + 1) − V[r, j]`` at every segment boundary.  Checked
+    after ``run_batched``, after ``recovery_times`` at batch 1 and 64,
+    and after ``load_state`` onto a fleet that had moved elsewhere;
+    n = 37 ends in a ragged block of one bin.
     """
     n = 37
     m = 5 if SPECS[spec].kind == "open" else 60
     start = LoadVector.random(m, n, np.random.default_rng(2))
 
     def assert_fresh(bp):
-        b = bp._fleet.b
+        fleet = bp._fleet
+        b = fleet.b
         fresh = np.stack(
             [bp.loads[:, c:c + b].sum(axis=1) for c in range(0, n, b)], axis=1
         )
-        np.testing.assert_array_equal(bp._fleet.S, fresh)
+        np.testing.assert_array_equal(fleet.S, fresh)
+        B = bp._bound() + 1
+        key = np.arange(bp.replicas)[:, None] * B - bp.loads
+        np.testing.assert_array_equal(fleet.key.reshape(bp.loads.shape), key)
 
     bp = VectorizedEngine.make(SPECS[spec], start, 5, seed=4)
     assert_fresh(bp)
@@ -809,9 +815,10 @@ def test_batched_bitwise_while_loads_grow(spec, start):
     """Segments whose loads climb above the segment-start max stay bitwise.
 
     The fuzz grid starts from the all-in-one state, where no load ever
-    exceeds the start; here the search key's per-segment bound B (start
-    max + segment length, capped) is what keeps row blocks apart.  Each
-    batch is compared with the row-by-row replay of the same slab.
+    exceeds the start; here the search key's bound B (the ball cap + 1,
+    or for the uncapped open fleet the segment-start max + segment
+    length + 1) is what keeps row blocks apart.  Each batch is compared
+    with the row-by-row replay of the same slab.
     """
     from repro.verify.differential import replay_rows
 

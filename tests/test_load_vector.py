@@ -1,10 +1,16 @@
 """Tests for normalized load vectors and the Fact 3.2 operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.balls.load_vector import (
     LoadVector,
+    count_above,
+    count_at_least,
     delta_distance,
     l1_distance,
     ominus,
@@ -81,6 +87,7 @@ class TestDerived:
     def test_num_nonempty(self):
         assert LoadVector([3, 1, 0, 0]).num_nonempty == 2
         assert LoadVector([1, 1, 1]).num_nonempty == 3
+        assert LoadVector([4]).num_nonempty == 1
 
 
 class TestFact32:
@@ -169,3 +176,80 @@ class TestDistances:
         worst = LoadVector.all_in_one(m, n)
         bal = LoadVector.balanced(m, n)
         assert worst.delta(bal) <= m - (m + n - 1) // n
+
+
+# ---------------------------------------------------------------------------
+# Descending counts: one search on the live array, no copy of it
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _descending(draw):
+    """A descending int64 or int32 vector: random, all-equal or all-zero."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "all_equal", "all_zero"]))
+    if kind == "random":
+        vals = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    else:
+        vals = [0 if kind == "all_zero" else draw(st.integers(1, 12))] * n
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    return np.sort(np.array(vals, dtype=dtype))[::-1].copy()
+
+
+class TestDescendingCounts:
+    """count_above / count_at_least against a search on the negated copy."""
+
+    @settings(max_examples=200)
+    @given(_descending())
+    @example(np.array([5], dtype=np.int64))
+    @example(np.zeros(1, dtype=np.int32))
+    @example(np.full(7, 3, dtype=np.int32))
+    @example(np.zeros(9, dtype=np.int64))
+    def test_counts_match_negated_search(self, v):
+        # Below the minimum, above the maximum, on every entry and on
+        # every absent value in between; Python and numpy needles of
+        # both widths (an int64 needle must not widen an int32 row).
+        for x in range(int(v.min()) - 2, int(v.max()) + 3):
+            for needle in (x, np.int64(x), np.int32(x)):
+                assert count_above(v, needle) == np.searchsorted(-v, -x, side="left")
+                assert count_at_least(v, needle) == np.searchsorted(-v, -x, side="right")
+        for i in range(v.shape[0]):
+            assert oplus_index(v, i) == np.searchsorted(-v, -v[i], side="left")
+            assert ominus_index(v, i) == np.searchsorted(-v, -v[i], side="right") - 1
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while *fn* runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoCopyPerSearch:
+    """At n = 2²⁰ one copy of the loads is 8 MiB; a search must make none."""
+
+    N = 2**20
+    LIMIT = 64 * 1024
+
+    def test_fact32_edits(self):
+        v = LoadVector.random(self.N, self.N, seed=0).loads
+
+        def edits():
+            for k in range(50):
+                v[oplus_index(v, k)] += 1
+                v[ominus_index(v, k)] -= 1
+
+        assert _peak_bytes(edits) < self.LIMIT
+
+    @pytest.mark.parametrize("scenario", ["a", "b"])
+    def test_scalar_phases(self, scenario):
+        from repro.balls.rules import ABKURule
+        from repro.balls.scenario_a import ScenarioAProcess
+        from repro.balls.scenario_b import ScenarioBProcess
+
+        cls = ScenarioAProcess if scenario == "a" else ScenarioBProcess
+        proc = cls(ABKURule(2), LoadVector.random(self.N, self.N, seed=1), seed=2)
+        proc.run(1)
+        assert _peak_bytes(lambda: proc.run(200)) < self.LIMIT
