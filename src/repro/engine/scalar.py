@@ -12,9 +12,11 @@ dedicated simulators had:
   maintained incrementally, so the ℬ(v) draw is O(1);
 * anything else — generic inverse-CDF at a fresh uniform, O(n).
 
-Relocation disables the Fenwick/s fast paths (the extra move would
-desynchronize the mirrors), matching the dedicated
-:class:`~repro.balls.relocation.RelocationProcess` it replaces.
+Relocation and open specs keep the Fenwick tree (every move updates
+it) but draw at the generic path's uniform u, removing ball
+⌊u·m⌋ as :func:`~repro.balls.distributions.quantile_removal_a` does;
+under relocation the ℬ(v) draw is the generic one, already O(log n).
+Open specs keep their ball count, so no step sums the loads.
 
 RNG draw order per law is bit-compatible with the pre-engine
 simulators, so seeded runs of the legacy classes (now thin subclasses)
@@ -78,20 +80,19 @@ class SpecProcess(DynamicAllocationProcess):
     def _sync_derived(self) -> None:
         # Build the per-law fast-path mirrors from the loads (at
         # construction and on restore; checkpoints never carry them).
-        # Relocation moves would desynchronize them, so they only
-        # engage at p_relocate = 0.
+        # The Fenwick tree follows relocation moves too; the nonempty
+        # count engages only at p_relocate = 0.
         self._fenwick: FenwickTree | None = None
         self._s = -1
-        if self.spec.p_relocate == 0.0:
-            if isinstance(self._law, BallRemoval):
-                self._fenwick = FenwickTree(self._v)
-            elif isinstance(self._law, BinRemoval):
-                self._s = count_above(self._v, 0)
+        if isinstance(self._law, BallRemoval):
+            self._fenwick = FenwickTree(self._v)
+        elif isinstance(self._law, BinRemoval) and self.spec.p_relocate == 0.0:
+            self._s = count_above(self._v, 0)
 
     def _obs_account(self, steps: int) -> None:
         super()._obs_account(steps)
         reg = obs.metrics()
-        if self._fenwick is not None:
+        if self._fenwick is not None and self.spec.p_relocate == 0.0:
             # One find() plus the two ±1 updates mirroring Fact 3.2.
             reg.counter(f"{self._obs_name}.fenwick_ops").inc(3 * steps)
         if self._s >= 0:
@@ -100,11 +101,16 @@ class SpecProcess(DynamicAllocationProcess):
     def step(self) -> None:
         rng = self._rng
         v = self._v
+        fw = self._fenwick
+        p = self.spec.p_relocate
         # Remove (per-law fast path; draw order matches the legacy sims).
-        if self._fenwick is not None:
-            i = self._fenwick.find(int(rng.integers(0, self._m)))
-            s_idx = self._decrement_at(i)
-            self._fenwick.add(s_idx, -1)
+        if fw is not None:
+            if p > 0:
+                # The generic path's uniform, at quantile_removal_a's ball.
+                k = min(int(rng.random() * self._m), self._m - 1)
+            else:
+                k = int(rng.integers(0, self._m))
+            fw.add(self._decrement_at(fw.find(k)), -1)
         elif self._s >= 0:
             i = int(rng.integers(0, self._s))
             s_idx = self._decrement_at(i)
@@ -116,17 +122,19 @@ class SpecProcess(DynamicAllocationProcess):
         # Place.
         j = self.rule.select(v, rng)
         jj = self._increment_at(j)
-        if self._fenwick is not None:
-            self._fenwick.add(jj, +1)
+        if fw is not None:
+            fw.add(jj, +1)
         elif self._s >= 0 and v[jj] == 1:
             self._s += 1
         # Optional relocation: fullest bin → rule-selected target.
-        p = self.spec.p_relocate
         if p > 0 and rng.random() < p:
             target = self.rule.select(v, rng)
             if v[0] - v[target] >= 2:
-                self._decrement_at(0)
-                self._increment_at(target)
+                top = self._decrement_at(0)
+                dst = self._increment_at(target)
+                if fw is not None:
+                    fw.add(top, -1)
+                    fw.add(dst, +1)
                 self.relocations += 1
         self._t += 1
 
@@ -164,6 +172,15 @@ class OpenSpecProcess(DynamicAllocationProcess):
         self.max_balls = spec.max_balls
         self._obs_name = spec.name
         self._law = spec.removal
+        self._sync_derived()
+
+    def _sync_derived(self) -> None:
+        # The ball count (which answers the empty-state and cap tests)
+        # and ball removal's Fenwick mirror, rebuilt from the loads.
+        self._balls = int(self._v.sum())
+        self._fenwick = (
+            FenwickTree(self._v) if isinstance(self._law, BallRemoval) else None
+        )
 
     def step(self) -> None:
         """One open-system step: fair coin → remove or insert."""
@@ -175,14 +192,24 @@ class OpenSpecProcess(DynamicAllocationProcess):
         self._t += 1
 
     def _remove(self, u: float) -> None:
-        if self._v.sum() == 0:
+        m = self._balls
+        if m == 0:
             return  # nothing to remove: no-op, as in the paper's example
-        self._decrement_at(self._law.quantile(self._v, u))
+        fw = self._fenwick
+        if fw is None:
+            self._decrement_at(self._law.quantile(self._v, u))
+        else:
+            # quantile_removal_a's ball ⌊u·m⌋, found in O(log n).
+            fw.add(self._decrement_at(fw.find(min(int(u * m), m - 1))), -1)
+        self._balls = m - 1
 
     def _insert(self, rng: np.random.Generator) -> None:
-        if self.max_balls is not None and self._v.sum() >= self.max_balls:
+        if self.max_balls is not None and self._balls >= self.max_balls:
             return  # bounded-population variant (§7 first class)
-        self._increment_at(self.rule.select(self._v, rng))
+        j = self._increment_at(self.rule.select(self._v, rng))
+        if self._fenwick is not None:
+            self._fenwick.add(j, +1)
+        self._balls += 1
 
     def _obs_account(self, steps: int) -> None:
         obs.metrics().counter(f"{self._obs_name}.steps").inc(steps)

@@ -40,11 +40,12 @@ What vectorizes — and what cannot:
 * **Synchronous (RBB) steps** — the whole fleet advances with *one*
   inverse-transform scatter per step: a single ``rng.random(Σ s_r)``
   draw over every released ball in the fleet, mapped through the rule's
-  quantile and bin-counted per replica (equal in law to per-row
-  ``Multinomial(s_r, q)``), and the (R, n) matrix is released,
-  scattered and re-sorted in whole-array passes — no per-ball Python
-  loop.  Requires a load-independent insertion law (same eligibility
-  as the inverse-transform insertion path).
+  quantile and added in place (equal in law to per-row
+  ``Multinomial(s_r, q)``); the counts s_r are one search of the
+  :class:`FleetSearch` key, and a row sort of that key re-sorts the
+  fleet — no ``bincount``, no per-ball Python loop.  Requires a
+  load-independent insertion law (same eligibility as the
+  inverse-transform insertion path).
 
 A sequential segment of T phases draws one uniform slab
 ``rng.random((T, k, R))`` (k = 2 closed, 4 with relocation, 3 open),
@@ -82,10 +83,10 @@ class FleetSearch:
     later row's, so the whole key ascends.  A search for ``r·B − x``
     therefore stays inside row r, and one ``searchsorted`` call answers
     a Fact 3.2 count for any set of rows at once (:func:`_counts_desc`).
-    The kernels keep ``key`` in step with each ±1 edit in O(R).  A
-    bounded fleet keys once (:meth:`rekey`) with B = bound + 1, where
-    the loads are replaced wholesale; an open fleet without a ball cap
-    rekeys once per segment with a B that segment cannot outgrow.
+    The kernels keep ``key`` in step with each ±1 edit in O(R) (the
+    synchronous step, by sorting it).  A bounded fleet keys once
+    (:meth:`rekey`) with B = bound + 1, where the loads are replaced
+    wholesale; an open fleet without a ball cap rekeys once per segment.
 
     ``S`` holds per-row block sums: ``S[r, c]`` is the sum of row r's
     bins ``c·b`` to ``c·b + b − 1`` (the last block ragged), with
@@ -246,12 +247,11 @@ class VectorizedProcess:
         )
         self._R = replicas
         self._n = start.n
-        self._rows = np.arange(replicas)
         self._t = 0
         self.relocations = 0
         # Synchronous specs scatter against a fixed insertion pmf
-        # (supports() guarantees the rule is load-independent); the
-        # sequential kernels search and write into FleetSearch scratch.
+        # (supports() guarantees the rule is load-independent); every
+        # kernel searches and writes into FleetSearch scratch.
         self._q: np.ndarray | None = None
         if spec.step.synchronous:
             self._q = spec.rule.insertion_distribution(
@@ -264,9 +264,8 @@ class VectorizedProcess:
             self._nonempty = np.empty((replicas, self._n), dtype=bool)
             self._u = np.empty(replicas * self._n)
             self._flat = np.empty(replicas * self._n, dtype=np.int64)
-        else:
-            self._fleet = FleetSearch(replicas, self._n, bound)
-            self._index()
+        self._fleet = FleetSearch(replicas, self._n, bound)
+        self._index()
 
     # -- state access ---------------------------------------------------------
 
@@ -317,38 +316,39 @@ class VectorizedProcess:
         self._advance(1)
 
     def _step_synchronous(self) -> None:
-        """One RBB step for the whole fleet: release, scatter, re-sort.
+        """One RBB step for the whole fleet: release, scatter, keyed re-sort.
 
-        Each row releases one ball from each of its s_r nonempty bins
-        (rows stay descending after the masked decrement).  All released
-        balls of all replicas then re-place through one inverse-transform
-        scatter: a single ``rng.random(Σ s_r)`` draw mapped through the
-        rule's quantile, bin-counted per replica — equivalent in law to
-        per-row ``Multinomial(s_r, q)`` but one RNG call and one
-        ``bincount`` for the entire fleet, which is what buys the
-        vectorized path its headroom over the scalar loop
-        (``benchmarks/bench_e16_rbb.py``).
+        Each row releases one ball from each of its s_r nonempty bins,
+        counted by one search of the row offsets over the current key
+        (``key < r·B`` iff ``V > 0``).  All released balls then re-place
+        through one inverse-transform scatter: a single
+        ``rng.random(Σ s_r)`` draw mapped through the rule's quantile,
+        one ball per uniform (``np.add.at`` with a scalar of V's dtype,
+        numpy's fast path) — equal in law to per-row
+        ``Multinomial(s_r, q)`` but one RNG call for the entire fleet
+        (``benchmarks/bench_e16_rbb.py``).  The re-sort sorts the key
+        rebuilt from V and reads V back, so the key stays current.
         """
         V = self._V
-        nonempty = np.greater(V, 0, out=self._nonempty)
-        s = nonempty.sum(axis=1)
-        np.subtract(V, 1, out=V, where=nonempty)
+        fleet = self._fleet
+        s = fleet.key.searchsorted(fleet.offset)
+        s -= fleet.start
+        np.subtract(V, np.greater(V, 0, out=self._nonempty), out=V)
         total = int(s.sum())
         # The draw, the quantile and the row offsets work in the scratch
-        # buffers and the re-sort runs in place, so only ``repeat`` and
-        # ``bincount`` allocate fleet-sized arrays per step.
+        # buffers and the scatter and the re-sort run in place, so only
+        # ``repeat`` allocates a fleet-sized array per step.
         if total > 0:
             u = self._rng.random(total, out=self._u[:total])
             flat = self.rule.insertion_quantile_batch_into(
                 self._n, u, self._flat[:total]
             )
-            flat += np.repeat(self._rows * self._n, s)
-            V += np.bincount(flat, minlength=self._R * self._n).reshape(
-                self._R, self._n
-            )
-        np.negative(V, out=V)
-        V.sort(axis=1)
-        np.negative(V, out=V)
+            flat += np.repeat(fleet.start, s)
+            np.add.at(V.reshape(-1), flat, V.dtype.type(1))
+        key = fleet.key.reshape(V.shape)
+        np.subtract(fleet.offset[:, None], V, out=key)
+        key.sort(axis=1)
+        np.subtract(fleet.offset[:, None], key, out=V)
 
     def _bound(self) -> int | None:
         """Cap on every row sum, hence every load (None: unbounded open)."""
@@ -358,7 +358,7 @@ class VectorizedProcess:
         """Rebuild the search scratch from the loads (construction, :meth:`load_state`).
 
         Every load of a bounded fleet stays below B = bound + 1, so its
-        key is built here once and the edits keep it in step; an
+        key is built here once and the kernels keep it in step; an
         uncapped open fleet is keyed per segment in :meth:`_advance`.
         """
         bound = self._bound()
@@ -589,8 +589,7 @@ class VectorizedProcess:
             )
         self._check_rows(V)
         self._V[:] = V
-        if self._q is None:
-            self._index()
+        self._index()
         self._rng.bit_generator.state = state["rng"]
         self._t = int(state["t"])
         self.relocations = int(state.get("relocations", 0))

@@ -201,7 +201,7 @@ def replay_rows(spec, start, replicas: int, seed: int, steps: int) -> dict:
       ``rng.random(Σ s_r)`` draw is made as the kernel makes it, row r
       places one ball per uniform of its share (rows in order), and
       each row is re-sorted descending.  Nothing here touches the
-      kernel's release mask, scatter, ``bincount`` or row sort.
+      kernel's fleet key, release mask, scatter or keyed row sort.
 
     Returns the keys of :func:`_fleet_state`.
     """

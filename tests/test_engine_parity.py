@@ -488,12 +488,18 @@ def test_rbb_vectorized_state_roundtrip_is_bitwise(name):
     LoadVector.balanced(24, 7),
     LoadVector([5, 3, 3, 1, 0, 0]),
     LoadVector.all_in_one(1, 4),
+    LoadVector.all_in_one(3, 1),    # n = 1: every row is the one bin
+    LoadVector.balanced(3, 8),      # m < n: empty bins in every row
+    LoadVector.all_in_one(64, 64),  # the crash state
 ])
 def test_rbb_batched_bitwise_vs_replay_rows(name, start):
     """The synchronous kernel lands on the one-ball-at-a-time replay.
 
     Every segment length ends on the replay's loads, RNG stream position
-    and step count; the fuzz grid covers the all-in-one starts.
+    and step count; the fuzz grid covers the all-in-one starts.  The
+    boundary starts check the keyed step's nonempty counts (one search
+    of the row offsets over the fleet key) where a row is all one bin,
+    mostly empty, or one full bin and n − 1 empty ones.
     """
     from repro.verify.differential import replay_rows
 
@@ -741,7 +747,9 @@ def test_removal_into_on_row_subsets(law, name):
         )
 
 
-@pytest.mark.parametrize("spec", ["scenario_a", "relocation", "open_ball"])
+@pytest.mark.parametrize(
+    "spec", ["scenario_a", "relocation", "open_ball", "rbb_twochoice"]
+)
 def test_block_sums_follow_the_loads(spec):
     """The block sums and the key the edits maintain equal fresh ones from V.
 
@@ -749,7 +757,9 @@ def test_block_sums_follow_the_loads(spec):
     read ``r·(bound + 1) − V[r, j]`` at every segment boundary.  Checked
     after ``run_batched``, after ``recovery_times`` at batch 1 and 64,
     and after ``load_state`` onto a fleet that had moved elsewhere;
-    n = 37 ends in a ragged block of one bin.
+    n = 37 ends in a ragged block of one bin.  The synchronous step
+    keeps no block sums, and its keyed row sort must leave the key
+    current after every step.
     """
     n = 37
     m = 5 if SPECS[spec].kind == "open" else 60
@@ -757,11 +767,15 @@ def test_block_sums_follow_the_loads(spec):
 
     def assert_fresh(bp):
         fleet = bp._fleet
-        b = fleet.b
-        fresh = np.stack(
-            [bp.loads[:, c:c + b].sum(axis=1) for c in range(0, n, b)], axis=1
-        )
-        np.testing.assert_array_equal(fleet.S, fresh)
+        if SPECS[spec].step.synchronous:
+            assert fleet.S is None
+        else:
+            b = fleet.b
+            fresh = np.stack(
+                [bp.loads[:, c:c + b].sum(axis=1) for c in range(0, n, b)],
+                axis=1,
+            )
+            np.testing.assert_array_equal(fleet.S, fresh)
         B = bp._bound() + 1
         key = np.arange(bp.replicas)[:, None] * B - bp.loads
         np.testing.assert_array_equal(fleet.key.reshape(bp.loads.shape), key)
@@ -781,13 +795,16 @@ def test_block_sums_follow_the_loads(spec):
     assert_fresh(other)
 
 
-@pytest.mark.parametrize("spec", ["scenario_a", "scenario_b", "relocation"])
+@pytest.mark.parametrize(
+    "spec", ["scenario_a", "scenario_b", "relocation", "rbb_twochoice"]
+)
 def test_forced_wide_scratch_bitwise(spec):
     """int32 loads, int64 search scratch: the kernels stay bitwise.
 
     With R = 3 and m = 1.5·10⁹ every load fits int32, but the fleet key
     and the prefix sums of the block sums reach (R − 1)·(m + 1), which
-    does not.
+    does not; the synchronous step reads its int32 loads back from the
+    int64 key it sorts.
     """
     from tests import fuzzkit
 
@@ -802,7 +819,10 @@ def test_forced_wide_scratch_bitwise(spec):
     fleet = bp._fleet
     assert fleet.dtype == fleet.key.dtype == np.int64
     # Only ball removal reads (so keeps) block sums.
-    assert fleet.S is None if spec == "scenario_b" else fleet.S.dtype == np.int64
+    if spec in ("scenario_b", "rbb_twochoice"):
+        assert fleet.S is None
+    else:
+        assert fleet.S.dtype == np.int64
 
 
 @pytest.mark.parametrize("spec, start", [

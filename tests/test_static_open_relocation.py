@@ -1,5 +1,7 @@
 """Tests for the static baseline, open systems and relocation processes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.balls.static import (
     static_max_load,
     static_max_load_samples,
 )
+from repro.engine import ScalarEngine
+from repro.engine.registry import registered_specs
+from repro.engine.spec import open_spec
 
 
 class TestStatic:
@@ -216,3 +221,61 @@ class TestRelocation:
         for _ in range(200):
             p.step()
             assert (np.diff(p.loads) <= 0).all()
+
+
+#: Scalar specs on the relocation and open fast paths, with their starts
+#: (balls, bins).  The open walks from 8 balls reach the empty state
+#: (seed 1); the capped spec (max_balls = 6) meets both it and the cap.
+PINNED_STARTS = {
+    "relocation": (lambda: registered_specs()["relocation"], (96, 64)),
+    "open_bin": (lambda: open_spec(ABKURule(2), removal="bin"), (8, 64)),
+    "open_ball": (lambda: open_spec(ABKURule(2), removal="ball"), (8, 64)),
+    "open_ball_capped": (lambda: registered_specs()["open_ball"], (4, 64)),
+}
+
+#: (sha256 prefix of the int64 loads, PCG64 state, balls, relocations)
+#: after run(3000), recorded from the generic O(n) removal quantile and
+#: per-step load sums that these fast paths replace.
+PINNED_3000 = {
+    ("relocation", 1): (
+        "41f60fc805039a42", 170965502537204389399439730404599180354, 96, 836),
+    ("relocation", 2): (
+        "731d493fbfd76d2e", 321641549508010506551477429451852187658, 96, 840),
+    ("open_bin", 1): (
+        "b1fdec57e306a6e1", 175084388982452912916983098630365125422, 48, 0),
+    ("open_bin", 2): (
+        "657707227aaa607c", 139799836335589006052883846178330796860, 48, 0),
+    ("open_ball", 1): (
+        "9a86f49f7c60297e", 175084388982452912916983098630365125422, 48, 0),
+    ("open_ball", 2): (
+        "ce087eda35165222", 139799836335589006052883846178330796860, 48, 0),
+    ("open_ball_capped", 1): (
+        "d839a3521723b8a5", 91655280461933770137689620227937448886, 1, 0),
+    ("open_ball_capped", 2): (
+        "a4f43331ac4a6844", 218578811725372046682153136475270834888, 6, 0),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_3000))
+def test_scalar_fast_paths_keep_trajectories(name, seed):
+    """Loads and RNG position after 3000 steps are the generic path's.
+
+    Run straight through, and resumed halfway from a snapshot onto a
+    process of another seed, whose mirrors are rebuilt from the loads.
+    """
+    make, (m, n) = PINNED_STARTS[name]
+    start = LoadVector.random(m, n, 7)
+    straight = ScalarEngine.make(make(), start, seed=seed).run(3000)
+    half = ScalarEngine.make(make(), start, seed=seed).run(1500)
+    resumed = ScalarEngine.make(make(), start, seed=seed + 100)
+    resumed.load_state(half.state_dict())
+    resumed.run(1500)
+    for p in (straight, resumed):
+        digest = hashlib.sha256(p.loads.astype(np.int64).tobytes()).hexdigest()
+        got = (
+            digest[:16],
+            p._rng.bit_generator.state["state"]["state"],
+            p.m,
+            getattr(p, "relocations", 0),
+        )
+        assert got == PINNED_3000[name, seed]

@@ -123,6 +123,27 @@ class TestFind:
 
 
 class TestAgainstNaive:
+    def test_find_at_ball_quantile_matches_quantile_removal_a(self, rng):
+        """``find(min(int(u·m), m − 1))`` is 𝒜(v)'s inverse CDF at u.
+
+        The scalar relocation and open paths remove through the tree at
+        the generic path's uniform, so the two must agree at every u:
+        random ones, the extremes 0 and nextafter(1, 0), and k/m for
+        every ball k.
+        """
+        from repro.balls.distributions import quantile_removal_a
+        from repro.balls.load_vector import LoadVector
+
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            v = LoadVector.random(int(rng.integers(1, 3 * n + 2)), n, rng).loads
+            t = FenwickTree(v)
+            m = t.total
+            us = [0.0, float(np.nextafter(1.0, 0.0)), *rng.random(20).tolist()]
+            us += [k / m for k in range(m)]
+            for u in us:
+                assert t.find(min(int(u * m), m - 1)) == quantile_removal_a(v, u)
+
     def test_randomized_equivalence(self, rng):
         """Fenwick ops agree with a plain array under random updates."""
         n = 37
