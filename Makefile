@@ -6,7 +6,7 @@ PY ?= python
 PYPATH = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test test-all test-fast bench bench-quick bench-diff \
-	bench-pytest bench-trend obs-index campaign engines-check examples \
+	bench-pytest bench-trend campaign engines-check examples \
 	report report-paper verify verify-full resume-smoke all
 
 install:
@@ -41,10 +41,6 @@ bench-pytest:
 # Perf trajectory over every committed BENCH_*.json (obs trend).
 bench-trend:
 	$(PYPATH) $(PY) -m repro obs trend --fail-on-regression
-
-# Rebuild runs/index.jsonl from disk.
-obs-index:
-	$(PYPATH) $(PY) -m repro obs index
 
 # Small parallel probed campaign (watch it live with `repro obs watch`).
 campaign:

@@ -29,8 +29,10 @@ Commands:
   ``obs watch <run-dir>`` live-tails a probed run's
   ``timeseries.jsonl`` (sparklines + recovery-monitor events),
   ``obs diff A B`` compares two bench JSONs or run dirs with bootstrap
-  CIs and improved/regressed/unchanged verdicts, and ``obs gc`` prunes
-  old ``runs/<id>/`` directories (dry-run by default).
+  CIs and improved/regressed/unchanged verdicts, ``obs trend`` draws the
+  perf trajectory over the committed ``BENCH_*.json`` artifacts (with a
+  drift gate against the trailing window), and ``obs gc`` prunes old
+  ``runs/<id>/`` directories (dry-run by default).
 
 Every command takes ``--seed`` for reproducibility.  ``experiment``
 additionally takes ``--trace`` / ``--metrics-out DIR`` to record a run
@@ -309,15 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-regression", action="store_true",
         help="exit 1 when any metric is significantly regressed",
     )
-    pi = obs_sub.add_parser(
-        "index", help="build the run/bench artifact index (runs/index.jsonl)"
-    )
-    pi.add_argument("--runs-dir", default="runs",
-                    help="run-artifact root to scan (default runs)")
-    pi.add_argument("--json", action="store_true", dest="as_json",
-                    help="print the index entries as JSON instead of tables")
-    pi.add_argument("--no-write", action="store_true",
-                    help="scan and print only; leave runs/index.jsonl alone")
     pt = obs_sub.add_parser(
         "trend",
         help="per-commit perf trajectory over all BENCH_*.json artifacts",
@@ -340,16 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-regression", action="store_true",
         help="exit 1 when the head regresses vs the trailing window",
     )
-    pe = obs_sub.add_parser(
-        "export",
-        help="render a run directory as OpenMetrics text (Prometheus v2)",
-    )
-    pe.add_argument("run_dir", help="run-artifact directory to export")
-    pe.add_argument("--out", default=None, metavar="FILE",
-                    help="write the exposition to FILE instead of stdout")
-    pe.add_argument("--check", action="store_true",
-                    help="also validate against the OpenMetrics grammar; "
-                    "exit 1 on violations")
     pg = obs_sub.add_parser(
         "gc", help="prune old runs/<id> directories by mtime (dry-run by default)"
     )
@@ -583,7 +566,6 @@ def _print_campaign_summary(summary: dict) -> int:
         summary["wall_s"],
     ])
     print(t.render())
-    print(f"export metrics:  python -m repro obs export {out}")
     return 0 if summary["capped"] == 0 else 1
 
 
@@ -712,18 +694,18 @@ def _cmd_bench(args) -> int:
                 s.skip_reason or "runnable",
             ])
         print(t.render())
-        from repro.obs.trend import DEFAULT_BENCH_DIRS, _scan_benches
+        from repro.obs.trend import bench_trajectory
 
-        artifacts = _scan_benches(DEFAULT_BENCH_DIRS)
-        if artifacts:
+        points = bench_trajectory()
+        if points:
             t = Table(
-                ["artifact", "created", "git rev", "benches"],
+                ["artifact", "created", "git rev", "metrics"],
                 title="committed trajectory points (obs trend renders these)",
             )
-            for e in sorted(artifacts, key=lambda x: x.get("created_at", "")):
+            for p in points:
                 t.add_row([
-                    e["path"], (e.get("created_at") or "?")[:19],
-                    (e.get("git_rev") or "?")[:10], e.get("benches", ""),
+                    p.path, p.created_at[:19] or "?",
+                    (p.git_rev or "?")[:10], len(p.metrics),
                 ])
             print("\n" + t.render())
         return 0
@@ -790,22 +772,6 @@ def _cmd_obs(args) -> int:
             return 1
         return 0
 
-    if args.obs_command == "index":
-        import json as _json
-
-        from repro.obs.trend import build_index, render_index, write_index
-
-        entries = build_index(runs_dir=args.runs_dir)
-        if not args.no_write:
-            path = write_index(entries, runs_dir=args.runs_dir)
-        if args.as_json:
-            print(_json.dumps(entries, indent=2, sort_keys=True))
-        else:
-            print(render_index(entries))
-            if not args.no_write:
-                print(f"\nwrote {path} ({len(entries)} entries)")
-        return 0
-
     if args.obs_command == "trend":
         import json as _json
 
@@ -824,29 +790,6 @@ def _cmd_obs(args) -> int:
             print(render_trend(result))
         if args.fail_on_regression and result.has_regression:
             return 1
-        return 0
-
-    if args.obs_command == "export":
-        from repro.obs.export import export_run, validate_openmetrics
-
-        try:
-            text = export_run(args.run_dir)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
-        if args.check:
-            errors = validate_openmetrics(text)
-            for e in errors:
-                print(f"openmetrics: {e}", file=sys.stderr)
-            if errors:
-                return 1
-            print("openmetrics: valid", file=sys.stderr)
         return 0
 
     if args.obs_command == "gc":

@@ -665,9 +665,9 @@ class VectorizedProcess:
 
         *batch* (≥ 1) caps the segment length: the fleet advances
         through :meth:`_advance` in segments cut at every probe and
-        ``save_every`` boundary, and the per-step hitting-time scan runs
-        over the segment's max-load history.  Segment ends are the only
-        steps where the full matrix is needed (probe snapshots,
+        ``save_every`` boundary, and the hitting times are read off the
+        segment's max-load history as first-hit rows.  Segment ends are
+        the only steps where the full matrix is needed (probe snapshots,
         checkpoint payloads); everything per-step — hitting times,
         power-of-two records — replays from that history.  Every
         *batch* gives the same ``times``, ``timeseries.jsonl`` bytes and
@@ -706,29 +706,27 @@ class VectorizedProcess:
                 end = min(end, k + save_every - k % save_every)
             T = end - k
             self._advance(T, hist=hist[:T])
-            completed_at = None
-            for i in range(T):
-                kk = k + i + 1
-                newly = (~done) & (hist[i] <= target_max_load)
-                if newly.any():
-                    times[newly] = kk
-                    done |= newly
-                if probe is not None and kk % every == 0:
-                    # Only the segment end can be a probe boundary (by
-                    # the cut above), where the live matrix *is* the
-                    # step-kk state.
-                    probe.observe(self._t, self._V)
-                if observing and (kk & (kk - 1)) == 0:
-                    obs.record_sample(
-                        "batch/recovered_fraction", kk, float(done.mean())
-                    )
-                    obs.record_sample(
-                        "batch/max_load_mean", kk, float(hist[i].mean())
-                    )
-                if done.all():
-                    completed_at = kk
-                    break
+            # One pass over the segment's history: a replica's hitting
+            # time is the step of its first row at or under the target.
+            hit = hist[:T] <= target_max_load
+            newly = hit.any(axis=0) & ~done
+            times[newly] = k + 1 + hit.argmax(axis=0)[newly]
+            done |= newly
+            completed_at = int(times.max()) if done.all() else None
             executed = end if completed_at is None else completed_at
+            if observing:
+                # Replay the segment's records in step order, up to the
+                # whole-fleet hitting step.  Only the segment end can be
+                # a probe boundary (by the cut above), where the live
+                # matrix *is* that step's state.
+                kk = 1 << int(k).bit_length()  # the first power of two past k
+                while kk < executed:
+                    self._record_progress(kk, times, hist[kk - k - 1])
+                    kk <<= 1
+                if probe is not None and executed % every == 0:
+                    probe.observe(self._t, self._V)
+                if kk == executed:
+                    self._record_progress(kk, times, hist[kk - k - 1])
             k = end
             if checkpointer is not None and (
                 completed_at is None or completed_at == end
@@ -757,6 +755,14 @@ class VectorizedProcess:
                 "batch/recovered_fraction", executed, float(done.mean())
             )
         return times
+
+    @staticmethod
+    def _record_progress(kk: int, times: np.ndarray, max_loads: np.ndarray) -> None:
+        """Step *kk*'s power-of-two samples: the share of replicas whose
+        hitting time is at most *kk*, and the fleet-mean max load."""
+        recovered = (times >= 0) & (times <= kk)
+        obs.record_sample("batch/recovered_fraction", kk, float(recovered.mean()))
+        obs.record_sample("batch/max_load_mean", kk, float(max_loads.mean()))
 
     def __repr__(self) -> str:
         return (

@@ -4,9 +4,9 @@ The paper's subject is *time* — recovery and mixing time — so the runs
 themselves should be measurable.  This package provides, with no
 third-party dependencies and a no-op fast path when disabled:
 
-* **metrics** (:mod:`repro.obs.metrics`) — counters, gauges, timers and
-  fixed-bucket histograms in a mergeable :class:`MetricsRegistry`
-  (phase counts, RNG draws, Fact 3.2 updates, worker merges);
+* **metrics** (:mod:`repro.obs.metrics`) — counters and gauges in a
+  mergeable :class:`MetricsRegistry` (phase counts, RNG draws, Fact 3.2
+  updates, worker merges);
 * **tracing** (:mod:`repro.obs.trace`) — nested ``span("e01/...")``
   stage timings streamed as JSONL events;
 * **run artifacts** (:mod:`repro.obs.recorder`) — ``runs/<id>/``
@@ -21,6 +21,9 @@ third-party dependencies and a no-op fast path when disabled:
 * **regression diffs** (:mod:`repro.obs.compare`) — ``repro obs diff``
   over two bench artifacts or run dirs, with bootstrap CIs and
   improved/regressed/unchanged verdicts;
+* **perf trajectory** (:mod:`repro.obs.trend`) — ``repro obs trend``
+  over every committed ``BENCH_*.json``, with a drift gate against the
+  trailing window;
 * **profiling** (:mod:`repro.obs.profile`) — opt-in ``--profile``
   cProfile capture attached to the run artifact;
 * **per-step probes** (:mod:`repro.obs.probes`,
@@ -32,9 +35,9 @@ third-party dependencies and a no-op fast path when disabled:
   ``python -m repro obs watch <run-dir>`` tail + sparkline terminal
   view over a probed run.
 
-The bench/compare/profile modules are imported lazily (by the CLI and
-tests), not at package import — the instrumentation facade below stays
-as cheap as in PR 1.
+The bench/compare/trend/profile modules are imported lazily (by the
+CLI and tests), not at package import, so the instrumentation facade
+below stays cheap to import.
 
 Instrumented hot paths guard every touch with :func:`enabled` — the
 whole subsystem costs one boolean check per ``run()`` call when off
@@ -54,9 +57,7 @@ from __future__ import annotations
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
-    Timer,
     default_registry,
     scoped_registry,
 )
@@ -101,8 +102,6 @@ __all__ = [
     # metrics
     "Counter",
     "Gauge",
-    "Timer",
-    "Histogram",
     "MetricsRegistry",
     "default_registry",
     "scoped_registry",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import queue as _queue_mod
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "BusSender",
@@ -308,14 +308,3 @@ def worker_telemetry(
     sender.items_total = int(items_total)
     return sender, HeartbeatThread(sender, interval=heartbeat_s)
 
-
-# Re-exported convenience for tests: the canonical "is this a bus
-# message" check (kept in one place with the wire format above).
-_KINDS = ("point", "monitor", "heartbeat", "bye")
-
-
-def is_bus_message(msg: Any, validator: Callable[[tuple], bool] | None = None) -> bool:
-    """True when *msg* looks like a bus wire tuple (used by tests)."""
-    if not (isinstance(msg, tuple) and msg and msg[0] in _KINDS):
-        return False
-    return validator(msg) if validator is not None else True

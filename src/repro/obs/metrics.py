@@ -1,9 +1,9 @@
-"""Zero-dependency metrics: counters, gauges, timers, histograms.
+"""Zero-dependency metrics: counters and gauges.
 
 The experiments run millions of Markov phases; a
 :class:`MetricsRegistry` gives them cheap named instruments (phase
-counts, RNG draws, Fact 3.2 update costs, coupling-distance samples)
-that aggregate in memory and serialize to a plain dict.  Three design
+counts, RNG draws, Fact 3.2 update costs, state-space sizes) that
+aggregate in memory and serialize to a plain dict.  Three design
 rules keep the hot loops honest:
 
 1. **No-op when disabled.**  Instrumented code guards every touch with
@@ -20,46 +20,16 @@ rules keep the hot loops honest:
 
 from __future__ import annotations
 
-import bisect
-import math
-import re
-import time
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Timer",
-    "Histogram",
     "MetricsRegistry",
     "default_registry",
     "scoped_registry",
 ]
-
-
-_OM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _om_name(prefix: str, name: str) -> str:
-    """An OpenMetrics-legal metric name: ``<prefix>_<sanitized name>``."""
-    raw = f"{prefix}_{name}" if prefix else name
-    clean = _OM_BAD_CHARS.sub("_", raw)
-    if not clean or clean[0].isdigit():
-        clean = "_" + clean
-    return clean
-
-
-def _om_value(v: float) -> str:
-    """An OpenMetrics number: integers bare, floats via repr, inf/nan named."""
-    f = float(v)
-    if math.isinf(f):
-        return "+Inf" if f > 0 else "-Inf"
-    if math.isnan(f):
-        return "NaN"
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
 
 
 class Counter:
@@ -92,77 +62,12 @@ class Gauge:
         self.value = float(value)
 
 
-class Timer:
-    """Accumulating wall-clock timer (count / total / min / max seconds)."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one measured duration."""
-        if seconds < 0:
-            raise ValueError(f"durations must be >= 0, got {seconds}")
-        self.count += 1
-        self.total += seconds
-        self.min = min(self.min, seconds)
-        self.max = max(self.max, seconds)
-
-    @property
-    def mean(self) -> float:
-        """Mean duration in seconds (0.0 before any observation)."""
-        return self.total / self.count if self.count else 0.0
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager timing the enclosed block."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - t0)
-
-
-class Histogram:
-    """Fixed-bucket histogram: ``bounds`` are inclusive upper edges.
-
-    Values above the last bound land in the overflow bucket, so
-    ``len(counts) == len(bounds) + 1``.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total")
-
-    def __init__(self, name: str, bounds: Sequence[float]):
-        b = [float(x) for x in bounds]
-        if not b or any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise ValueError("bounds must be non-empty and strictly increasing")
-        self.name = name
-        self.bounds = b
-        self.counts = [0] * (len(b) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        v = float(value)
-        self.counts[bisect.bisect_left(self.bounds, v)] += 1
-        self.count += 1
-        self.total += v
-
-
 class MetricsRegistry:
     """Named instruments with get-or-create access and dict round-trips."""
 
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     # -- instrument access (get-or-create) -----------------------------------
 
@@ -180,27 +85,8 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(name)
         return g
 
-    def timer(self, name: str) -> Timer:
-        """The timer called *name*."""
-        t = self._timers.get(name)
-        if t is None:
-            t = self._timers[name] = Timer(name)
-        return t
-
-    def histogram(self, name: str, bounds: Sequence[float] | None = None) -> Histogram:
-        """The histogram called *name*; *bounds* are required at creation."""
-        h = self._histograms.get(name)
-        if h is None:
-            if bounds is None:
-                raise KeyError(f"histogram {name!r} does not exist and no bounds given")
-            h = self._histograms[name] = Histogram(name, bounds)
-        return h
-
     def __len__(self) -> int:
-        return (
-            len(self._counters) + len(self._gauges)
-            + len(self._timers) + len(self._histograms)
-        )
+        return len(self._counters) + len(self._gauges)
 
     # -- serialization / merge ------------------------------------------------
 
@@ -209,141 +95,18 @@ class MetricsRegistry:
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "timers": {
-                n: {"count": t.count, "total": t.total, "min": t.min, "max": t.max}
-                for n, t in sorted(self._timers.items())
-                if t.count
-            },
-            "histograms": {
-                n: {
-                    "bounds": h.bounds,
-                    "counts": h.counts,
-                    "count": h.count,
-                    "total": h.total,
-                }
-                for n, h in sorted(self._histograms.items())
-            },
         }
 
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` dict into this registry.
 
-        Counters/timers/histograms add; gauges take the incoming value
-        (last write wins).  This is the parallel-worker merge path.
+        Counters add; gauges take the incoming value (last write wins).
+        This is the parallel-worker merge path.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).value += int(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
-        for name, d in snapshot.get("timers", {}).items():
-            t = self.timer(name)
-            t.count += int(d["count"])
-            t.total += float(d["total"])
-            t.min = min(t.min, float(d["min"]))
-            t.max = max(t.max, float(d["max"]))
-        for name, d in snapshot.get("histograms", {}).items():
-            h = self.histogram(name, d["bounds"])
-            if h.bounds != [float(b) for b in d["bounds"]]:
-                raise ValueError(f"histogram {name!r} bucket bounds mismatch on merge")
-            for i, c in enumerate(d["counts"]):
-                h.counts[i] += int(c)
-            h.count += int(d["count"])
-            h.total += float(d["total"])
-
-    def to_openmetrics(self, *, prefix: str = "repro", eof: bool = True) -> str:
-        """Serialize every instrument as OpenMetrics text (Prometheus v2).
-
-        The wire contract for the future allocation-as-a-service
-        ``/metrics`` endpoint (see ``repro obs export``):
-
-        * counters → a ``counter`` family whose sample carries the
-          mandatory ``_total`` suffix;
-        * gauges → a ``gauge`` family;
-        * timers → a ``<name>_seconds`` ``summary`` family
-          (``_count``/``_sum``) plus a ``_seconds_max`` gauge;
-        * histograms → a ``histogram`` family with *cumulative*
-          ``_bucket{le="..."}`` samples ending at ``le="+Inf"``, plus
-          ``_count``/``_sum``.
-
-        Metric names are sanitized to ``[a-zA-Z0-9_:]`` (dots and
-        slashes in registry names become underscores).  With *eof* the
-        text ends with the mandatory ``# EOF`` terminator, making it a
-        complete exposition; pass ``eof=False`` to concatenate several
-        registries into one exposition.
-        """
-        lines: list[str] = []
-        for name, c in sorted(self._counters.items()):
-            base = _om_name(prefix, name)
-            # '_total' is the reserved counter sample suffix; a family
-            # name must not carry it itself.
-            if base.endswith("_total"):
-                base = base[: -len("_total")]
-            lines.append(f"# TYPE {base} counter")
-            lines.append(f"{base}_total {_om_value(c.value)}")
-        for name, g in sorted(self._gauges.items()):
-            base = _om_name(prefix, name)
-            lines.append(f"# TYPE {base} gauge")
-            lines.append(f"{base} {_om_value(g.value)}")
-        for name, t in sorted(self._timers.items()):
-            if not t.count:
-                continue
-            base = _om_name(prefix, name) + "_seconds"
-            lines.append(f"# TYPE {base} summary")
-            lines.append(f"{base}_count {t.count}")
-            lines.append(f"{base}_sum {_om_value(t.total)}")
-            lines.append(f"# TYPE {base}_max gauge")
-            lines.append(f"{base}_max {_om_value(t.max)}")
-        for name, h in sorted(self._histograms.items()):
-            base = _om_name(prefix, name)
-            lines.append(f"# TYPE {base} histogram")
-            cumulative = 0
-            for bound, count in zip(h.bounds, h.counts):
-                cumulative += count
-                lines.append(
-                    f'{base}_bucket{{le="{_om_value(bound)}"}} {cumulative}'
-                )
-            lines.append(f'{base}_bucket{{le="+Inf"}} {h.count}')
-            lines.append(f"{base}_count {h.count}")
-            lines.append(f"{base}_sum {_om_value(h.total)}")
-        if eof:
-            lines.append("# EOF")
-        return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Drop every instrument."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._timers.clear()
-        self._histograms.clear()
-
-    def render(self) -> str:
-        """Plain-text table of the current values (for logs / summarize)."""
-        from repro.utils.tables import Table
-
-        parts = []
-        if self._counters:
-            t = Table(["counter", "value"], title="counters")
-            for n, c in sorted(self._counters.items()):
-                t.add_row([n, c.value])
-            parts.append(t.render())
-        if self._gauges:
-            t = Table(["gauge", "value"], title="gauges")
-            for n, g in sorted(self._gauges.items()):
-                t.add_row([n, g.value])
-            parts.append(t.render())
-        timers = {n: t for n, t in self._timers.items() if t.count}
-        if timers:
-            t = Table(["timer", "count", "total s", "mean s", "max s"], title="timers")
-            for n, tm in sorted(timers.items()):
-                t.add_row([n, tm.count, tm.total, tm.mean, tm.max])
-            parts.append(t.render())
-        if self._histograms:
-            t = Table(["histogram", "count", "mean", "buckets"], title="histograms")
-            for n, h in sorted(self._histograms.items()):
-                mean = h.total / h.count if h.count else 0.0
-                t.add_row([n, h.count, mean, " ".join(str(c) for c in h.counts)])
-            parts.append(t.render())
-        return "\n\n".join(parts) if parts else "(no metrics recorded)"
 
 
 _default = MetricsRegistry()

@@ -1,23 +1,12 @@
-"""Campaign observatory: the run/bench index and the perf trajectory.
+"""The perf trajectory: ``repro obs trend [metric]``.
 
-Two commands on top of the artifacts every run and bench already
-writes:
-
-* ``repro obs index`` — one JSONL index (``runs/index.jsonl``, schema
-  ``repro.index/1``) over all ``runs/<id>/`` artifacts and committed
-  ``BENCH_*.json`` trajectory points, rebuildable from disk at any
-  time (the file is a cache, never the source of truth);
-* ``repro obs trend [metric]`` — the per-commit perf trajectory across
-  every bench artifact, as ASCII sparkline + table (``--json`` for
-  machines), plus trajectory-wide drift detection:
-  ``--fail-on-regression`` compares the *head* artifact not against a
-  single predecessor but against the pooled samples of the trailing
-  window, reusing ``obs diff``'s bootstrap-CI machinery
-  (:func:`repro.obs.compare.bootstrap_delta_ci`).
-
-Bench artifacts historically landed both in the repo root and in
-``benchmarks/artifacts/``; both locations are scanned (and ``repro
-bench run`` now defaults to ``benchmarks/artifacts/``).
+Reads every committed ``BENCH_*.json`` under ``benchmarks/artifacts/``
+(where ``repro bench run`` writes them) and renders the per-commit
+trajectory as ASCII sparkline + table (``--json`` for machines), plus
+trajectory-wide drift detection: ``--fail-on-regression`` compares the
+*head* artifact not against a single predecessor but against the
+pooled samples of the trailing window, reusing ``obs diff``'s
+bootstrap-CI machinery (:func:`repro.obs.compare.bootstrap_delta_ci`).
 """
 
 from __future__ import annotations
@@ -25,7 +14,6 @@ from __future__ import annotations
 import glob
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +23,7 @@ from repro.utils.ascii_plot import sparkline
 from repro.utils.tables import Table
 
 __all__ = [
-    "INDEX_SCHEMA",
-    "INDEX_FILE",
     "DEFAULT_BENCH_DIRS",
-    "build_index",
-    "write_index",
-    "load_index",
-    "render_index",
     "bench_trajectory",
     "TrendResult",
     "compute_trend",
@@ -49,191 +31,9 @@ __all__ = [
     "trend_to_json",
 ]
 
-#: Schema tag of ``runs/index.jsonl``; bump on breaking changes.
-INDEX_SCHEMA = "repro.index/1"
-
-#: Index file name, under the runs directory.
-INDEX_FILE = "index.jsonl"
-
-#: Where ``BENCH_*.json`` trajectory points may live (both are scanned;
-#: the repo root holds pre-PR-7 artifacts, new ones default to
-#: ``benchmarks/artifacts``).
-DEFAULT_BENCH_DIRS = (".", "benchmarks/artifacts")
-
-
-def _scan_runs(runs_dir: str) -> list[dict]:
-    entries: list[dict] = []
-    if not os.path.isdir(runs_dir):
-        return entries
-    for name in sorted(os.listdir(runs_dir)):
-        path = os.path.join(runs_dir, name)
-        meta_path = os.path.join(path, "meta.json")
-        if not os.path.isdir(path):
-            continue
-        if not (
-            os.path.exists(meta_path)
-            or os.path.exists(os.path.join(path, "events.jsonl"))
-        ):
-            continue
-        entry: dict = {"type": "run", "path": path}
-        try:
-            with open(meta_path) as f:
-                meta = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            meta = {}
-        if not isinstance(meta, dict):
-            meta = {}
-        for key in ("status", "started_at", "duration_s", "git_rev"):
-            if key in meta:
-                entry[key] = meta[key]
-        if "series" in meta:
-            entry["series"] = len(meta["series"])
-        ts = meta.get("timeseries")
-        if isinstance(ts, dict):
-            entry["points"] = int(sum(ts.values()))
-            workers = {
-                key.rsplit("#w", 1)[1]
-                for key in ts
-                if "#w" in key and key.rsplit("#w", 1)[1].isdigit()
-            }
-            if workers:
-                entry["workers"] = len(workers)
-        if "monitor_events" in meta:
-            entry["monitor_events"] = meta["monitor_events"]
-        entries.append(entry)
-    return entries
-
-
-def _scan_benches(bench_dirs: tuple[str, ...] | list[str]) -> list[dict]:
-    entries: list[dict] = []
-    seen: set[str] = set()
-    for d in bench_dirs:
-        for path in sorted(glob.glob(os.path.join(d, "BENCH_*.json"))):
-            norm = os.path.normpath(path)
-            if norm in seen:
-                continue
-            seen.add(norm)
-            entry: dict = {"type": "bench", "path": norm}
-            try:
-                with open(path) as f:
-                    payload = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                entry["error"] = "unreadable"
-                entries.append(entry)
-                continue
-            if not str(payload.get("schema", "")).startswith("repro.bench/"):
-                continue
-            for key in ("created_at", "git_rev"):
-                if key in payload:
-                    entry[key] = payload[key]
-            config = payload.get("config") or {}
-            if config.get("filter") is not None:
-                entry["filter"] = config["filter"]
-            benches = payload.get("benches") or []
-            entry["benches"] = len(benches)
-            entry["errors"] = sum(
-                1 for b in benches if b.get("status") == "error"
-            )
-            entries.append(entry)
-    return entries
-
-
-def build_index(
-    *,
-    runs_dir: str = "runs",
-    bench_dirs: tuple[str, ...] | list[str] = DEFAULT_BENCH_DIRS,
-) -> list[dict]:
-    """Scan the disk into index entries (runs first, then bench points)."""
-    return _scan_runs(runs_dir) + _scan_benches(bench_dirs)
-
-
-def write_index(
-    entries: list[dict], *, runs_dir: str = "runs"
-) -> str:
-    """Persist *entries* to ``<runs_dir>/index.jsonl``; returns the path."""
-    os.makedirs(runs_dir, exist_ok=True)
-    path = os.path.join(runs_dir, INDEX_FILE)
-    with open(path, "w") as f:
-        header = {
-            "type": "header",
-            "schema": INDEX_SCHEMA,
-            "built_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "entries": len(entries),
-        }
-        f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for e in entries:
-            f.write(json.dumps(e, separators=(",", ":"), sort_keys=True) + "\n")
-    return path
-
-
-def load_index(
-    *,
-    runs_dir: str = "runs",
-    bench_dirs: tuple[str, ...] | list[str] = DEFAULT_BENCH_DIRS,
-    rebuild: bool = False,
-) -> list[dict]:
-    """Read ``<runs_dir>/index.jsonl``, rebuilding from disk when absent.
-
-    The index is a cache: pass *rebuild* (or delete the file) to rescan.
-    Corrupt lines are skipped, matching every other artifact reader.
-    """
-    path = os.path.join(runs_dir, INDEX_FILE)
-    if rebuild or not os.path.exists(path):
-        return build_index(runs_dir=runs_dir, bench_dirs=bench_dirs)
-    entries: list[dict] = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and record.get("type") in (
-                "run", "bench",
-            ):
-                entries.append(record)
-    return entries
-
-
-def render_index(entries: list[dict]) -> str:
-    """Human-readable view of the index (runs table + bench table)."""
-    parts: list[str] = []
-    runs = [e for e in entries if e.get("type") == "run"]
-    benches = [e for e in entries if e.get("type") == "bench"]
-    if runs:
-        t = Table(
-            ["run", "status", "started", "dur s", "points", "workers",
-             "monitors"],
-            title=f"run artifacts ({len(runs)})",
-        )
-        for e in runs:
-            t.add_row([
-                e["path"], e.get("status", "?"),
-                (e.get("started_at") or "?")[:19],
-                e.get("duration_s", ""), e.get("points", ""),
-                e.get("workers", ""), e.get("monitor_events", ""),
-            ])
-        parts.append(t.render())
-    if benches:
-        t = Table(
-            ["artifact", "created", "git rev", "filter", "benches", "errors"],
-            title=f"bench trajectory points ({len(benches)})",
-        )
-        for e in sorted(benches, key=lambda x: x.get("created_at", "")):
-            t.add_row([
-                e["path"], (e.get("created_at") or "?")[:19],
-                (e.get("git_rev") or "?")[:10], e.get("filter", ""),
-                e.get("benches", ""), e.get("errors", ""),
-            ])
-        parts.append(t.render())
-    if not parts:
-        return "(no runs or bench artifacts found)"
-    return "\n\n".join(parts)
-
-
-# -- the perf trajectory ------------------------------------------------------
+#: Where ``BENCH_*.json`` trajectory points live (``repro bench run``
+#: writes there by default).
+DEFAULT_BENCH_DIRS = ("benchmarks/artifacts",)
 
 
 @dataclass
@@ -249,21 +49,26 @@ class TrajectoryPoint:
 def bench_trajectory(
     bench_dirs: tuple[str, ...] | list[str] = DEFAULT_BENCH_DIRS,
 ) -> list[TrajectoryPoint]:
-    """Every readable bench artifact, oldest first (by ``created_at``)."""
+    """Every readable bench artifact, oldest first (by ``created_at``).
+
+    Files that do not parse, or that are not ``repro.bench`` artifacts,
+    are skipped.
+    """
     points: list[TrajectoryPoint] = []
-    for e in _scan_benches(bench_dirs):
-        if "error" in e:
-            continue
-        try:
-            metrics = load_metrics(e["path"])
-        except (ValueError, OSError):
-            continue
-        points.append(TrajectoryPoint(
-            path=e["path"],
-            created_at=e.get("created_at", ""),
-            git_rev=e.get("git_rev"),
-            metrics=metrics,
-        ))
+    for d in bench_dirs:
+        for path in sorted(glob.glob(os.path.join(d, "BENCH_*.json"))):
+            try:
+                metrics = load_metrics(path)
+                with open(path) as f:
+                    payload = json.load(f)
+            except (ValueError, OSError):
+                continue
+            points.append(TrajectoryPoint(
+                path=os.path.normpath(path),
+                created_at=payload.get("created_at", ""),
+                git_rev=payload.get("git_rev"),
+                metrics=metrics,
+            ))
     points.sort(key=lambda p: p.created_at)
     return points
 

@@ -1,15 +1,23 @@
 """Documentation-consistency gates.
 
 DESIGN.md and THEORY.md reference modules by dotted path; the README
-quickstart must actually run.  These tests keep prose and code from
-drifting apart.
+quickstart must actually run; docs/API.md is its generator's output;
+every ``python -m repro`` command the docs show or the program prints
+parses.  These tests keep prose and code from drifting apart.
 """
 
+import argparse
 import importlib
+import importlib.util
+import json
+import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from repro.cli import _print_campaign_summary, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +89,94 @@ class TestReadme:
             num = int(eid[1:])
             hits = list((ROOT / "benchmarks").glob(f"bench_e{num:02d}_*.py"))
             assert hits, f"no bench file for {eid}"
+
+
+class TestApiIndex:
+    def test_api_md_matches_its_generator(self):
+        path = ROOT / "tools" / "gen_api_docs.py"
+        spec = importlib.util.spec_from_file_location("gen_api_docs", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        assert (ROOT / "docs" / "API.md").read_text() == gen.render(), (
+            "docs/API.md is stale; regenerate with "
+            "PYTHONPATH=src python tools/gen_api_docs.py"
+        )
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _hints(text: str) -> list[str]:
+    """Every ``python -m repro ...`` command in *text*, up to a line end
+    or a closing parenthesis."""
+    return re.findall(r"python -m repro [^)\n]*", text)
+
+
+def _parse(hint: str) -> argparse.Namespace:
+    argv = shlex.split(hint)
+    try:
+        return build_parser().parse_args(argv[argv.index("-m") + 2:])
+    except SystemExit:
+        raise AssertionError(f"printed hint does not parse: {hint}") from None
+
+
+class TestCliMentions:
+    DOCS = ["README.md", "DESIGN.md"] + sorted(
+        f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")
+    )
+
+    def test_documented_commands_exist(self):
+        commands = _subcommands(build_parser())
+        stale = []
+        for doc in self.DOCS:
+            text = (ROOT / doc).read_text()
+            for m in re.finditer(
+                r"python\s+-m\s+repro\s+([a-z][\w-]*)(?:\s+([a-z][\w-]*))?",
+                text,
+            ):
+                cmd, sub = m.groups()
+                subs = _subcommands(commands[cmd]) if cmd in commands else None
+                if subs is None or (subs and sub not in subs):
+                    stale.append(f"{doc}: {m.group(0)}")
+        assert not stale, f"commands build_parser() rejects: {stale}"
+
+    def test_printed_hints_parse(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.base import ExperimentResult
+        from repro.obs.summarize import summarize_run
+        from repro.obs.watch import render_frame
+        from repro.verify.differential import DiffConfig
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "campaign", "--n", "4", "--replicas", "2", "--processes", "1",
+            "--out", "runs/camp",
+        ]) == 0
+        hints = _hints(capsys.readouterr().out)
+        assert _print_campaign_summary(
+            {"run_dir": "runs/camp", "interrupted": 5}
+        ) == 3
+        hints += _hints(capsys.readouterr().err)
+        os.makedirs("runs/cut")
+        with open("runs/cut/meta.json", "w") as f:
+            json.dump({"status": "interrupted", "last_checkpoint_step": 7}, f)
+        hints += _hints(summarize_run("runs/cut"))
+        hints += _hints(render_frame("runs/cut"))
+        hints += _hints(ExperimentResult(
+            "E1", "demo", "smoke", "ok", telemetry={"run_dir": "runs/e1"},
+        ).render())
+        hints += _hints(DiffConfig(
+            spec="scenario_a", n=4, m=4, replicas=2, steps=10, batch=1,
+            probe_every=0, save_every=0, seed=0,
+        ).cli())
+        parsed = [_parse(h) for h in hints]
+        assert [
+            (a.command, getattr(a, "obs_command", None)) for a in parsed
+        ] == [
+            ("obs", "watch"), ("resume", None), ("resume", None),
+            ("resume", None), ("obs", "summarize"), ("fuzz", None),
+        ]
+        assert json.loads(parsed[-1].config)["spec"] == "scenario_a"

@@ -37,58 +37,25 @@ class TestRegistry:
         reg.gauge("g").set(7.5)
         assert reg.gauge("g").value == 7.5
 
-    def test_timer_accumulates(self):
-        reg = MetricsRegistry()
-        t = reg.timer("t")
-        t.observe(0.5)
-        t.observe(1.5)
-        assert t.count == 2
-        assert t.total == pytest.approx(2.0)
-        assert t.mean == pytest.approx(1.0)
-        assert t.min == 0.5 and t.max == 1.5
-        with t.time():
-            pass
-        assert t.count == 3
-
-    def test_histogram_bucketing(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h", bounds=[1.0, 10.0, 100.0])
-        for v in (0.5, 1.0, 5.0, 50.0, 1000.0):
-            h.observe(v)
-        # Inclusive upper edges: 0.5,1.0 | 5.0 | 50.0 | 1000.0 overflow.
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-        with pytest.raises(ValueError):
-            reg.histogram("bad", bounds=[2.0, 1.0])
-        with pytest.raises(KeyError):
-            reg.histogram("missing")
-
     def test_snapshot_merge_roundtrip(self):
         a = MetricsRegistry()
         a.counter("c").inc(3)
         a.gauge("g").set(2.0)
-        a.timer("t").observe(0.25)
-        a.histogram("h", bounds=[1.0, 2.0]).observe(1.5)
         b = MetricsRegistry()
         b.counter("c").inc(4)
         b.merge(a.snapshot())
         b.merge(a.snapshot())
         assert b.counter("c").value == 3 + 3 + 4
         assert b.gauge("g").value == 2.0
-        assert b.timer("t").count == 2
-        assert b.histogram("h").counts == [0, 2, 0]
         # Merge round-trips through JSON (the multiprocessing wire format).
         c = MetricsRegistry()
         c.merge(json.loads(json.dumps(b.snapshot())))
         assert c.snapshot() == b.snapshot()
-
-    def test_merge_rejects_bound_mismatch(self):
-        a = MetricsRegistry()
-        a.histogram("h", bounds=[1.0]).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("h", bounds=[2.0])
-        with pytest.raises(ValueError):
-            b.merge(a.snapshot())
+        # Snapshots in older checkpoints also carry two always-empty
+        # "timers"/"histograms" keys; they still merge.
+        d = MetricsRegistry()
+        d.merge({**a.snapshot(), "timers": {}, "histograms": {}})
+        assert d.snapshot() == a.snapshot()
 
     def test_scoped_registry_swaps_default(self):
         outer = obs.metrics()
@@ -97,12 +64,6 @@ class TestRegistry:
             obs.metrics().counter("inner").inc()
         assert obs.metrics() is outer
         assert reg.counter("inner").value == 1
-
-    def test_render_smoke(self):
-        reg = MetricsRegistry()
-        assert "no metrics" in reg.render()
-        reg.counter("c").inc()
-        assert "c" in reg.render()
 
 
 class TestTrace:

@@ -158,6 +158,22 @@ class TestChainProbes:
         # The whole-fleet monitor cannot fire before the slowest replica.
         assert fired[0]["step"] >= int(times.max())
 
+    def test_vectorized_monitor_precedes_same_step_samples(self, tmp_path):
+        """Events stay in step order, and at a step that is both a probe
+        boundary and a power of two the monitor (probe observation)
+        comes before that step's fleet samples."""
+        run_dir = str(tmp_path / "run")
+        spec = scenario_a_spec(ABKURule(2))
+        with obs.observe_run(run_dir, trace=False, probe_every=2):
+            proc = VectorizedProcess(spec, LoadVector.all_in_one(16, 16), 2, seed=0)
+            proc.recovery_times(14, max_steps=100, batch=7)
+        with open(os.path.join(run_dir, "events.jsonl")) as f:
+            events = [json.loads(line) for line in f]
+        (fired,) = [e for e in events if e["type"] == "monitor"]
+        assert fired["step"] == 2
+        keys = [(e["step"], e["type"] != "monitor") for e in events]
+        assert keys == sorted(keys)
+
 
 class TestRecoveryTargets:
     def test_recovery_target_shape(self):

@@ -1,4 +1,4 @@
-"""Campaign observatory (index + trend) and the OpenMetrics exporter."""
+"""The perf trajectory (``repro obs trend``) and the campaign CLI smoke."""
 
 from __future__ import annotations
 
@@ -6,22 +6,13 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from repro.cli import main
-from repro.obs.export import export_run, validate_openmetrics
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import observe_run
 from repro.obs.trend import (
-    INDEX_SCHEMA,
     bench_trajectory,
-    build_index,
     compute_trend,
-    load_index,
-    render_index,
     render_trend,
     trend_to_json,
-    write_index,
 )
 
 
@@ -51,64 +42,6 @@ def _bench_artifact(path, created_at, wall_samples, *, git_rev="cafe0001",
     }
     with open(path, "w") as f:
         json.dump(payload, f)
-
-
-def _probed_run(run_dir, *, points=4):
-    with observe_run(run_dir, meta={"case": "observatory"}, trace=False) as rec:
-        for k in range(points):
-            rec.record_point("obs/series", k, {"value": float(k)})
-    return run_dir
-
-
-# -- the index ----------------------------------------------------------------
-
-
-def test_index_build_write_load_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _probed_run("runs/demo")
-    os.makedirs("benchmarks/artifacts")
-    _bench_artifact("benchmarks/artifacts/BENCH_1.json",
-                    "2026-08-01T10:00:00", [1.0, 1.1])
-    _bench_artifact("BENCH_0.json", "2026-07-01T10:00:00", [1.0, 1.2])
-    entries = build_index()
-    kinds = sorted(e["type"] for e in entries)
-    assert kinds == ["bench", "bench", "run"]
-    run = next(e for e in entries if e["type"] == "run")
-    assert run["status"] == "ok"
-    assert run["points"] == 4
-    path = write_index(entries)
-    assert path == os.path.join("runs", "index.jsonl")
-    with open(path) as f:
-        header = json.loads(f.readline())
-    assert header["schema"] == INDEX_SCHEMA
-    assert header["entries"] == 3
-    # The file is a cache: loading reads it back, rebuild rescans disk.
-    assert load_index() == sorted(
-        entries, key=lambda e: json.dumps(e, sort_keys=True)
-    ) or len(load_index()) == 3
-    os.remove("BENCH_0.json")
-    assert len(load_index()) == 3  # stale cache
-    assert len(load_index(rebuild=True)) == 2
-
-
-def test_index_renders_both_tables(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _probed_run("runs/demo")
-    _bench_artifact("BENCH_0.json", "2026-07-01T10:00:00", [1.0])
-    text = render_index(build_index())
-    assert "run artifacts (1)" in text
-    assert "bench trajectory points (1)" in text
-    assert "runs/demo" in text or "runs" + os.sep + "demo" in text
-
-
-def test_index_skips_foreign_json_and_flags_unreadable(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with open("BENCH_other.json", "w") as f:
-        json.dump({"schema": "other/1"}, f)
-    with open("BENCH_broken.json", "w") as f:
-        f.write("{nope")
-    entries = build_index()
-    assert [e.get("error") for e in entries] == ["unreadable"]
 
 
 # -- the trajectory + drift ---------------------------------------------------
@@ -168,6 +101,16 @@ def test_trend_render_and_json(tmp_path):
     json.dumps(payload)  # NaN-free by construction
 
 
+def test_trajectory_skips_foreign_and_unreadable_json(tmp_path):
+    with open(tmp_path / "BENCH_other.json", "w") as f:
+        json.dump({"schema": "other/1"}, f)
+    with open(tmp_path / "BENCH_broken.json", "w") as f:
+        f.write("{nope")
+    _bench_artifact(tmp_path / "BENCH_ok.json", "2026-08-01T10:00:00", [1.0])
+    traj = bench_trajectory((str(tmp_path),))
+    assert [os.path.basename(p.path) for p in traj] == ["BENCH_ok.json"]
+
+
 def test_trend_named_metric_without_history_is_new(tmp_path):
     _bench_artifact(tmp_path / "BENCH_only.json", "2026-08-04T10:00:00",
                     [1.0, 1.1])
@@ -179,73 +122,20 @@ def test_trend_named_metric_without_history_is_new(tmp_path):
     assert len(traj) == 1
 
 
-# -- OpenMetrics --------------------------------------------------------------
-
-
-def test_registry_openmetrics_is_valid():
-    reg = MetricsRegistry()
-    reg.counter("phases.total").inc(7)
-    reg.counter("rng.draws").inc(3)
-    reg.gauge("state.size").set(42.5)
-    reg.timer("run").observe(0.25)
-    reg.histogram("load", [1.0, 2.0]).observe(0.5)
-    reg.histogram("load", [1.0, 2.0]).observe(5.0)
-    text = reg.to_openmetrics()
-    assert validate_openmetrics(text) == []
-    # The reserved counter suffix never doubles up: a counter named
-    # '*.total' exposes family repro_phases, sample repro_phases_total.
-    assert "# TYPE repro_phases counter" in text
-    assert "repro_phases_total 7" in text
-    assert "repro_phases_total_total" not in text
-    assert 'repro_load_bucket{le="+Inf"} 2' in text
-    assert "repro_run_seconds_count 1" in text
-    assert text.endswith("# EOF\n")
-
-
-def test_export_run_is_valid_and_carries_probe_state(tmp_path):
-    run_dir = _probed_run(str(tmp_path / "run"))
-    text = export_run(run_dir)
-    assert validate_openmetrics(text) == []
-    assert 'repro_probe_last{series="obs/series",stat="value"} 3' in text
-    assert 'repro_run_info{status="ok"' in text
-    assert "repro_run_duration_seconds" in text
-
-
-def test_validator_rejects_bad_expositions():
-    assert validate_openmetrics("") == ["empty exposition"]
-    assert any(
-        "EOF" in e for e in validate_openmetrics("# TYPE a gauge\na 1\n")
-    )
-    # Counter samples must carry _total.
-    errs = validate_openmetrics("# TYPE a counter\na 1\n# EOF\n")
-    assert any("_total" in e for e in errs)
-    # Histograms need a +Inf bucket.
-    errs = validate_openmetrics(
-        '# TYPE h histogram\nh_bucket{le="1"} 1\nh_count 1\nh_sum 1\n# EOF\n'
-    )
-    assert any("+Inf" in e for e in errs)
-    # Samples without a TYPE declaration are flagged.
-    errs = validate_openmetrics("mystery 1\n# EOF\n")
-    assert any("no TYPE" in e for e in errs)
-
-
 # -- CLI wiring ---------------------------------------------------------------
 
 
-def test_cli_obs_index_trend_export(tmp_path, monkeypatch, capsys):
+def test_cli_obs_trend(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    run_dir = _probed_run("runs/demo")
     os.makedirs("benchmarks/artifacts")
     for i, created in enumerate(
         ["2026-08-01T10:00:00", "2026-08-02T10:00:00", "2026-08-03T10:00:00"]
     ):
         _bench_artifact(f"benchmarks/artifacts/BENCH_{i}.json", created,
                         [1.0, 1.02, 0.98], git_rev=f"rev{i}")
-    assert main(["obs", "index", "--json"]) == 0
-    entries = json.loads(capsys.readouterr().out)
-    assert {e["type"] for e in entries} == {"run", "bench"}
-    assert os.path.exists("runs/index.jsonl")
-
+    # Only benchmarks/artifacts is scanned: a stray root artifact is not
+    # a trajectory point.
+    _bench_artifact("BENCH_root.json", "2026-08-04T10:00:00", [9.0])
     assert main(["obs", "trend", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "repro.trend/1"
@@ -258,12 +148,6 @@ def test_cli_obs_index_trend_export(tmp_path, monkeypatch, capsys):
                     "2026-08-04T10:00:00", [3.0, 3.1, 2.9], git_rev="bad")
     assert main(["obs", "trend", "--fail-on-regression"]) == 1
     capsys.readouterr()
-
-    out_file = "metrics.prom"
-    assert main(["obs", "export", run_dir, "--out", out_file, "--check"]) == 0
-    capsys.readouterr()
-    with open(out_file) as f:
-        assert validate_openmetrics(f.read()) == []
 
 
 def test_cli_campaign_smoke(tmp_path, monkeypatch, capsys):

@@ -54,7 +54,8 @@ def public_members(module):
                 yield name, obj
 
 
-def main() -> None:
+def render() -> str:
+    """The text of docs/API.md for the package as it is imported now."""
     lines = [
         "# API index",
         "",
@@ -81,9 +82,14 @@ def main() -> None:
                 continue
             lines.append(f"* **{kind} `{name}`** — {first_line(obj)}")
         lines.append("")
+    return "\n".join(lines)
+
+
+def main() -> None:
+    text = render()
     OUT.parent.mkdir(exist_ok=True)
-    OUT.write_text("\n".join(lines))
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    OUT.write_text(text)
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
