@@ -49,7 +49,7 @@ campaign:
 # Cross-engine validation: the parity suite plus the support matrix
 # (same gate as the CI engine-parity job; see docs/ENGINES.md).
 engines-check:
-	$(PYPATH) $(PY) -m pytest tests/test_engine_parity.py -q
+	$(PYPATH) $(PY) -m pytest tests/test_engine_parity.py tests/test_scalar_stream.py tests/test_utils_rng.py -q
 	$(PYPATH) $(PY) -m repro engines
 
 examples:

@@ -10,7 +10,9 @@ JSONL recorder) — plus the micro-costs of the individual primitives.
 ``test_disabled_overhead_ratio`` prints the measured disabled-path
 ratio directly (the median of interleaved ``run(CHUNK)`` / raw
 ``step()`` loop pairs, :func:`conftest.paired_overhead_ratio`), which
-is the number quoted in docs/PERFORMANCE.md.
+is the number quoted in docs/PERFORMANCE.md.  The raw loop steps under
+the same draw stream ``run()`` opens, so the ratio prices the guard,
+not the draw path.
 """
 
 import time
@@ -187,14 +189,20 @@ def test_disabled_overhead_ratio(capsys):
     Prints the ratio quoted in docs/PERFORMANCE.md; the assertion is a
     generous backstop against accidentally putting work on the
     disabled path (the guard itself is one boolean per run() call).
+    Both sides draw from a run loop's stream: outside a loop ``step()``
+    draws per call from the Generator, which would price the draw path.
     """
     proc = _make_proc(3)
     proc.run(CHUNK)  # warmup
 
     def raw():
-        step = proc.step
-        for _ in range(CHUNK):
-            step()
+        gen = proc._open_stream(CHUNK)
+        try:
+            step = proc.step
+            for _ in range(CHUNK):
+                step()
+        finally:
+            proc._close_stream(gen)
 
     def guarded():
         proc.run(CHUNK)

@@ -15,7 +15,7 @@ together with every substrate the paper builds on:
 * Mitzenmacher's fluid-limit method for the typical state
   (:mod:`repro.fluid`);
 * the measurement harness (:mod:`repro.analysis`) and the per-claim
-  experiments E1–E15 (:mod:`repro.experiments`).
+  experiments E1–E16 (:mod:`repro.experiments`).
 
 Quickstart::
 

@@ -15,8 +15,12 @@ bin of the run).  In a descending array those are counts: ``j = #{t :
 v_t > v_i}`` and ``s = #{t : v_t ≥ v_i} − 1``.  :func:`count_above` and
 :func:`count_at_least` answer them with one O(log n) binary search on the
 live array, copying nothing of size n; :func:`oplus_index` /
-:func:`ominus_index` (what every simulator in this package uses in its
-inner loop) and every nonempty count s = #{t : v_t > 0} go through them.
+:func:`ominus_index` and :attr:`LoadVector.num_nonempty` go through them.
+Their users are the row-by-row replay oracle
+(:func:`repro.verify.differential.replay_rows`), static allocation and
+the grand coupling.  The scalar simulators read the same counts off the
+tail counts g[ℓ] = #{t : v_t ≥ ℓ} they keep beside the loads
+(:class:`repro.balls.process.DynamicAllocationProcess`), O(1) per edit.
 """
 
 from __future__ import annotations

@@ -6,8 +6,13 @@ stateful simulator base class shared by scenario A
 (:class:`repro.balls.scenario_a.ScenarioAProcess`), scenario B
 (:class:`repro.balls.scenario_b.ScenarioBProcess`) and the §7 variants.
 
-Simulators own a normalized load array, mutate it in place via the
-Fact 3.2 O(log n) primitives, and expose:
+Simulators own a normalized load array and mutate it in place via the
+Fact 3.2 primitives, which read two Python-list mirrors kept beside it:
+the loads, and the tail counts g[ℓ] = #{j : v_j ≥ ℓ} (the tail profile
+:mod:`repro.fluid` integrates).  ``v ⊖ e_i`` decrements position
+g[v_i] − 1 and ``v ⊕ e_i`` increments position g[v_i + 1], so each
+update is O(1) list work.  The run loops draw from one
+:class:`~repro.utils.rng.DrawStream` per loop.  Simulators expose:
 
 * ``step()`` — one phase;
 * ``run(steps)`` — many phases;
@@ -24,12 +29,16 @@ from typing import Callable, Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, count_above, ominus_index, oplus_index
-from repro.utils.rng import SeedLike, as_generator
+from repro.balls.load_vector import LoadVector, count_above
+from repro.utils.rng import SeedLike, as_generator, draw_stream
 
 __all__ = ["DynamicAllocationProcess", "StatFn", "max_load_stat", "nonempty_stat"]
 
 StatFn = Callable[[np.ndarray], float]
+
+#: Loops of at most this many phases keep drawing from the Generator:
+#: setting up a draw stream costs more than it saves on so few draws.
+_SHORT_LOOP = 8
 
 
 def max_load_stat(v: np.ndarray) -> float:
@@ -50,6 +59,12 @@ class DynamicAllocationProcess(ABC):
     once and, when on, count phases / RNG draws / Fact 3.2 updates in
     bulk and time the sweep under a span — the per-phase ``step()``
     stays untouched, so the disabled overhead is one boolean per call.
+
+    Each run loop of more than a few phases of a ``_streamed`` simulator
+    swaps ``_rng`` for a :func:`~repro.utils.rng.draw_stream` and closes
+    it when the loop ends, however it ends; ``step()`` draws from
+    whichever ``_rng`` holds, so the same seed gives the same trajectory
+    and the same final generator state in or out of a loop.
     """
 
     #: Metric/series prefix; subclasses override ("scenario_a", ...).
@@ -58,6 +73,10 @@ class DynamicAllocationProcess(ABC):
     _obs_rng_per_phase = 2
     #: Fewest balls a start state may hold (closed phases remove one first).
     _min_balls = 1
+    #: Whether run loops draw from a :class:`~repro.utils.rng.DrawStream`
+    #: (a simulator whose steps draw only what a stream hands back to the
+    #: Generator opts out).
+    _streamed = True
 
     def __init__(
         self,
@@ -110,15 +129,28 @@ class DynamicAllocationProcess(ABC):
     # -- mutation primitives shared by subclasses -----------------------------
 
     def _decrement_at(self, i: int) -> int:
-        """Apply ``v ⊖ e_i`` in place; returns the touched position."""
-        s = ominus_index(self._v, i)
-        self._v[s] -= 1
+        """Apply ``v ⊖ e_i`` in place; returns the touched position.
+
+        Fact 3.2: the last bin of v_i's run, s = #{t : v_t ≥ v_i} − 1.
+        """
+        x = self._vl[i]
+        s = self._g[x] - 1
+        self._g[x] = s
+        self._vl[s] = self._v[s] = x - 1
         return s
 
     def _increment_at(self, i: int) -> int:
-        """Apply ``v ⊕ e_i`` in place; returns the touched position."""
-        j = oplus_index(self._v, i)
-        self._v[j] += 1
+        """Apply ``v ⊕ e_i`` in place; returns the touched position.
+
+        Fact 3.2: the first bin of v_i's run, j = #{t : v_t > v_i}.
+        """
+        g = self._g
+        x = self._vl[i] + 1
+        j = g[x]
+        g[x] = j + 1
+        if x + 1 == len(g):
+            g.append(0)  # a new max load: keep g[max + 1] = 0 readable
+        self._vl[j] = self._v[j] = x
         return j
 
     # -- observability ---------------------------------------------------------
@@ -158,8 +190,8 @@ class DynamicAllocationProcess(ABC):
         Captures the load array, the RNG's ``bit_generator.state``, the
         step count, and — when the lazily built chain probe exists —
         its streaming-estimator and monitor state.  Derived fast-path
-        mirrors (Fenwick tree, nonempty count) are *not* captured; they
-        are rebuilt from the loads on :meth:`load_state`.
+        mirrors (list loads, tail counts, Fenwick tree) are *not*
+        captured; they are rebuilt from the loads on :meth:`load_state`.
         """
         state: dict = {
             "loads": self._v.copy(),
@@ -191,7 +223,36 @@ class DynamicAllocationProcess(ABC):
             self._get_probe().load_state(state["probe"])
 
     def _sync_derived(self) -> None:
-        """Rebuild any fast-path mirrors of the load array (subclass hook)."""
+        """Rebuild the fast-path mirrors of the load array.
+
+        The list loads and the tail counts g, where g[ℓ] = #{j : v_j ≥ ℓ}
+        for ℓ = 0 … max + 1 (so g[0] = n, g[1] is the nonempty count
+        and g[max + 1] = 0).  Subclasses extend this with their own
+        mirrors and call it once their state is set up.
+        """
+        self._vl = vl = self._v.tolist()
+        g = [0] * (vl[0] + 2)  # vl[0] is the max load
+        for x in vl:
+            g[x] += 1
+        for level in range(len(g) - 2, -1, -1):
+            g[level] += g[level + 1]
+        self._g = g
+
+    def _open_stream(self, steps: int):
+        """Swap ``_rng`` for a draw stream for a loop of up to *steps* phases.
+
+        Returns the Generator, for :meth:`_close_stream` to put back.
+        """
+        gen = self._rng
+        if self._streamed and steps > _SHORT_LOOP:
+            self._rng = draw_stream(gen)
+        return gen
+
+    def _close_stream(self, gen) -> None:
+        """End the loop :meth:`_open_stream` began: close its stream, restore *gen*."""
+        stream, self._rng = self._rng, gen
+        if stream is not gen:
+            stream.close()
 
     # -- the process ----------------------------------------------------------
 
@@ -203,21 +264,25 @@ class DynamicAllocationProcess(ABC):
         """Execute *steps* phases; returns self for chaining."""
         if steps < 0:
             raise ValueError(f"steps must be >= 0, got {steps}")
-        if not obs.enabled():
-            for _ in range(steps):
-                self.step()
-            return self
-        with obs.span(f"{self._obs_name}/run", steps=steps, n=self.n):
-            every = obs.probe_interval()
-            if every > 0:
-                probe = self._get_probe()
+        gen = self._open_stream(steps)
+        try:
+            if not obs.enabled():
                 for _ in range(steps):
                     self.step()
-                    if self._t % every == 0:
-                        probe.observe(self._t, self._v)
-            else:
-                for _ in range(steps):
-                    self.step()
+                return self
+            with obs.span(f"{self._obs_name}/run", steps=steps, n=self.n):
+                every = obs.probe_interval()
+                if every > 0:
+                    probe = self._get_probe()
+                    for _ in range(steps):
+                        self.step()
+                        if self._t % every == 0:
+                            probe.observe(self._t, self._v)
+                else:
+                    for _ in range(steps):
+                        self.step()
+        finally:
+            self._close_stream(gen)
         self._obs_account(steps)
         return self
 
@@ -240,12 +305,16 @@ class DynamicAllocationProcess(ABC):
         out = [stat(self._v)]
         if observing:
             obs.record_sample(series, t0, out[0])
-        for k in range(1, steps + 1):
-            self.step()
-            if k % every == 0:
-                out.append(stat(self._v))
-                if observing:
-                    obs.record_sample(series, t0 + k, out[-1])
+        gen = self._open_stream(steps)
+        try:
+            for k in range(1, steps + 1):
+                self.step()
+                if k % every == 0:
+                    out.append(stat(self._v))
+                    if observing:
+                        obs.record_sample(series, t0 + k, out[-1])
+        finally:
+            self._close_stream(gen)
         if observing:
             self._obs_account(steps)
         return np.asarray(out, dtype=np.float64)
@@ -264,24 +333,28 @@ class DynamicAllocationProcess(ABC):
             return 0
         hit = -1
         every = obs.probe_interval() if obs.enabled() else 0
-        if every > 0:
-            # Probed hitting-time run: same decimated chain probe as
-            # ``run`` — this is what streams a recovery campaign's
-            # per-replica trajectories onto the telemetry bus.
-            probe = self._get_probe()
-            for k in range(1, max_steps + 1):
-                self.step()
-                if self._t % every == 0:
-                    probe.observe(self._t, self._v)
-                if predicate(self._v):
-                    hit = k
-                    break
-        else:
-            for k in range(1, max_steps + 1):
-                self.step()
-                if predicate(self._v):
-                    hit = k
-                    break
+        gen = self._open_stream(max_steps)
+        try:
+            if every > 0:
+                # Probed hitting-time run: same decimated chain probe as
+                # ``run`` — this is what streams a recovery campaign's
+                # per-replica trajectories onto the telemetry bus.
+                probe = self._get_probe()
+                for k in range(1, max_steps + 1):
+                    self.step()
+                    if self._t % every == 0:
+                        probe.observe(self._t, self._v)
+                    if predicate(self._v):
+                        hit = k
+                        break
+            else:
+                for k in range(1, max_steps + 1):
+                    self.step()
+                    if predicate(self._v):
+                        hit = k
+                        break
+        finally:
+            self._close_stream(gen)
         if obs.enabled():
             self._obs_account(hit if hit >= 0 else max_steps)
         return hit

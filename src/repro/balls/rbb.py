@@ -42,6 +42,9 @@ class RBBProcess(DynamicAllocationProcess):
 
     #: One multinomial scatter per step.
     _obs_rng_per_phase = 1
+    #: A draw stream would hand each step's multinomial straight back to
+    #: the Generator, at ~1 µs a step for nothing.
+    _streamed = False
 
     def __init__(
         self,

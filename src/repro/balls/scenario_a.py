@@ -13,8 +13,8 @@ recovery time is τ(ε) = ⌈m·ln(m/ε)⌉.
 
 The process is declared as a :func:`repro.engine.spec.scenario_a_spec`
 and executed by the scalar engine, which keeps a Fenwick tree over the
-loads so the 𝒜(v) draw and both Fact 3.2 updates are O(log n) per
-phase — this is the hot loop of experiments E1/E2/E7.
+loads so the 𝒜(v) draw is O(log n) per phase, and both Fact 3.2
+updates O(1) — this is the hot loop of experiments E1/E2/E7.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ analyze* than scenario A — empirically visible in E3 as slower
 coalescence.
 
 The process is declared as a :func:`repro.engine.spec.scenario_b_spec`
-and executed by the scalar engine, which tracks s (the nonempty count)
-incrementally so each phase is O(log n).
+and executed by the scalar engine, which reads s (the nonempty count)
+off its tail counts, so each phase is O(1).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class ScenarioBProcess(SpecProcess):
 
     @property
     def num_nonempty(self) -> int:
-        """Current count s of nonempty bins (maintained incrementally)."""
-        return self._s
+        """Current count s of nonempty bins (the tail count g[1])."""
+        return self._g[1]
 
 
 def scenario_b_transition(

@@ -6,7 +6,7 @@ Commands:
   print the max-load trajectory;
 * ``bounds``   — print every recovery bound of the paper for a given
   (n, m) and ε;
-* ``experiment`` — run one experiment (E1–E15) and print its tables;
+* ``experiment`` — run one experiment (E1–E16) and print its tables;
 * ``report``   — run all experiments and write EXPERIMENTS.md;
 * ``verify``   — certify the paper's coupling lemmas on small exhaustive
   domains and run the statistical engine-acceptance battery

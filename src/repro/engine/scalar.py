@@ -1,22 +1,25 @@
-"""Scalar execution engine: the O(log n) reference path.
+"""Scalar execution engine: the reference path, with O(1) Fact 3.2 updates and draws.
 
-One Python-level step per phase over a single normalized load vector,
-using the Fact 3.2 primitives.  This engine executes *every*
-:class:`~repro.engine.spec.ProcessSpec` (it is the reference the other
-engines are validated against) and keeps the per-law fast paths the
-dedicated simulators had:
+One Python-level step per phase over a single normalized load vector.
+This engine executes *every* :class:`~repro.engine.spec.ProcessSpec`
+(it is the reference the other engines are validated against).  The
+Fact 3.2 updates read the tail counts g[ℓ] = #{j : v_j ≥ ℓ} that
+:class:`~repro.balls.process.DynamicAllocationProcess` keeps beside the
+loads (O(1) list work each), the run loops draw from one
+:class:`~repro.utils.rng.DrawStream` per loop, and each removal law
+keeps the fast path the dedicated simulators had:
 
 * :class:`~repro.engine.spec.BallRemoval` — a Fenwick tree over the
-  loads makes the 𝒜(v) draw O(log n) (the hot loop of E1/E2/E7);
-* :class:`~repro.engine.spec.BinRemoval` — the nonempty count s is
-  maintained incrementally, so the ℬ(v) draw is O(1);
+  loads maps ball k to its bin in O(log n) (the hot loop of E1/E2/E7);
+* :class:`~repro.engine.spec.BinRemoval` — the nonempty bins are
+  0 … g[1] − 1, so the ℬ(v) draw is O(1);
 * anything else — generic inverse-CDF at a fresh uniform, O(n).
 
-Relocation and open specs keep the Fenwick tree (every move updates
-it) but draw at the generic path's uniform u, removing ball
-⌊u·m⌋ as :func:`~repro.balls.distributions.quantile_removal_a` does;
-under relocation the ℬ(v) draw is the generic one, already O(log n).
-Open specs keep their ball count, so no step sums the loads.
+Relocation and open specs keep these fast paths (every move updates
+them) but draw at the generic path's uniform u: ball ⌊u·m⌋ as
+:func:`~repro.balls.distributions.quantile_removal_a` removes it, or bin
+⌊u·s⌋ as ``quantile_removal_b`` does.  Open specs keep their ball
+count, so no step sums the loads.
 
 RNG draw order per law is bit-compatible with the pre-engine
 simulators, so seeded runs of the legacy classes (now thin subclasses)
@@ -30,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from repro import obs
-from repro.balls.load_vector import LoadVector, count_above
+from repro.balls.load_vector import LoadVector
 from repro.balls.process import DynamicAllocationProcess
 from repro.engine.spec import BallRemoval, BinRemoval, ProcessSpec
 from repro.utils.fenwick import FenwickTree
@@ -64,6 +67,7 @@ class SpecProcess(DynamicAllocationProcess):
         self.rule = spec.rule
         self._obs_name = spec.name
         self._law = spec.removal
+        self._bins = isinstance(self._law, BinRemoval)
         self._m = int(self._v.sum())
         self.relocations = 0
         self._sync_derived()
@@ -78,25 +82,23 @@ class SpecProcess(DynamicAllocationProcess):
         self.relocations = int(state.get("relocations", 0))
 
     def _sync_derived(self) -> None:
-        # Build the per-law fast-path mirrors from the loads (at
-        # construction and on restore; checkpoints never carry them).
-        # The Fenwick tree follows relocation moves too; the nonempty
-        # count engages only at p_relocate = 0.
+        # Build the fast-path mirrors from the loads (at construction
+        # and on restore; checkpoints never carry them).  The Fenwick
+        # tree follows relocation moves too.
+        super()._sync_derived()
         self._fenwick: FenwickTree | None = None
-        self._s = -1
         if isinstance(self._law, BallRemoval):
             self._fenwick = FenwickTree(self._v)
-        elif isinstance(self._law, BinRemoval) and self.spec.p_relocate == 0.0:
-            self._s = count_above(self._v, 0)
 
     def _obs_account(self, steps: int) -> None:
         super()._obs_account(steps)
         reg = obs.metrics()
-        if self._fenwick is not None and self.spec.p_relocate == 0.0:
-            # One find() plus the two ±1 updates mirroring Fact 3.2.
-            reg.counter(f"{self._obs_name}.fenwick_ops").inc(3 * steps)
-        if self._s >= 0:
-            reg.gauge(f"{self._obs_name}.nonempty_bins").set(self._s)
+        if self.spec.p_relocate == 0.0:
+            if self._fenwick is not None:
+                # One find() plus the two ±1 updates mirroring Fact 3.2.
+                reg.counter(f"{self._obs_name}.fenwick_ops").inc(3 * steps)
+            elif self._bins:
+                reg.gauge(f"{self._obs_name}.nonempty_bins").set(self._g[1])
 
     def step(self) -> None:
         rng = self._rng
@@ -111,25 +113,24 @@ class SpecProcess(DynamicAllocationProcess):
             else:
                 k = int(rng.integers(0, self._m))
             fw.add(self._decrement_at(fw.find(k)), -1)
-        elif self._s >= 0:
-            i = int(rng.integers(0, self._s))
-            s_idx = self._decrement_at(i)
-            if v[s_idx] == 0:
-                self._s -= 1
-        else:
-            i = self._law.quantile(v, float(rng.random()))
+        elif self._bins:
+            s = self._g[1]  # the nonempty bins are 0 … s − 1
+            if p > 0:
+                # The generic path's uniform, at quantile_removal_b's bin.
+                i = min(int(rng.random() * s), s - 1)
+            else:
+                i = int(rng.integers(0, s))
             self._decrement_at(i)
+        else:
+            self._decrement_at(self._law.quantile(v, float(rng.random())))
         # Place.
-        j = self.rule.select(v, rng)
-        jj = self._increment_at(j)
+        jj = self._increment_at(self.rule.select(v, rng))
         if fw is not None:
             fw.add(jj, +1)
-        elif self._s >= 0 and v[jj] == 1:
-            self._s += 1
         # Optional relocation: fullest bin → rule-selected target.
         if p > 0 and rng.random() < p:
             target = self.rule.select(v, rng)
-            if v[0] - v[target] >= 2:
+            if self._vl[0] - self._vl[target] >= 2:
                 top = self._decrement_at(0)
                 dst = self._increment_at(target)
                 if fw is not None:
@@ -172,11 +173,13 @@ class OpenSpecProcess(DynamicAllocationProcess):
         self.max_balls = spec.max_balls
         self._obs_name = spec.name
         self._law = spec.removal
+        self._bins = isinstance(self._law, BinRemoval)
         self._sync_derived()
 
     def _sync_derived(self) -> None:
         # The ball count (which answers the empty-state and cap tests)
         # and ball removal's Fenwick mirror, rebuilt from the loads.
+        super()._sync_derived()
         self._balls = int(self._v.sum())
         self._fenwick = (
             FenwickTree(self._v) if isinstance(self._law, BallRemoval) else None
@@ -196,11 +199,15 @@ class OpenSpecProcess(DynamicAllocationProcess):
         if m == 0:
             return  # nothing to remove: no-op, as in the paper's example
         fw = self._fenwick
-        if fw is None:
-            self._decrement_at(self._law.quantile(self._v, u))
-        else:
+        if fw is not None:
             # quantile_removal_a's ball ⌊u·m⌋, found in O(log n).
             fw.add(self._decrement_at(fw.find(min(int(u * m), m - 1))), -1)
+        elif self._bins:
+            # quantile_removal_b's bin ⌊u·s⌋ among the s = g[1] nonempty.
+            s = self._g[1]
+            self._decrement_at(min(int(u * s), s - 1))
+        else:
+            self._decrement_at(self._law.quantile(self._v, u))
         self._balls = m - 1
 
     def _insert(self, rng: np.random.Generator) -> None:

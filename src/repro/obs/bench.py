@@ -502,15 +502,17 @@ def run_benchmarks(
     warmup: int = 1,
     quick: bool = False,
     profile: bool = False,
-    out_dir: str = ".",
+    out_dir: str = "benchmarks/artifacts",
     run_dir: str | None = None,
     progress: bool = True,
     stream: Any = None,
 ) -> tuple[str, dict]:
     """Discover, time, and persist benchmarks; returns ``(json_path, payload)``.
 
-    *quick* drops calibration and warmup (one iteration per round) for
-    smoke/CI use.  *profile* wraps each bench's timed rounds in
+    The artifact lands in *out_dir*, by default
+    ``benchmarks/artifacts``, the directory ``repro bench run`` writes
+    and ``obs trend``/``bench list`` read.  *quick* drops calibration
+    and warmup (one iteration per round) for smoke/CI use.  *profile* wraps each bench's timed rounds in
     ``cProfile`` and drops a ``<bench>.pstats`` per bench into the run
     dir (timings are still recorded, but treat them as indicative —
     the profiler taxes every function call).

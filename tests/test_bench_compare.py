@@ -355,6 +355,16 @@ class TestCliBenchAndDiff:
         files = [f for f in os.listdir(out_dir) if f.startswith("BENCH_")]
         assert len(files) == 1
 
+    def test_library_out_dir_default_is_the_cli_default(self):
+        """A library call and ``repro bench run`` write to the same place."""
+        import inspect
+
+        from repro.cli import build_parser
+
+        cli_default = build_parser().parse_args(["bench", "run"]).out_dir
+        lib_default = inspect.signature(run_benchmarks).parameters["out_dir"].default
+        assert lib_default == cli_default == "benchmarks/artifacts"
+
     def test_bench_list_cli(self, tmp_path, capsys):
         assert main([
             "bench", "list", "--bench-dir", _write_bench_dir(tmp_path),

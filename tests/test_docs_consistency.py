@@ -82,6 +82,24 @@ class TestReadme:
                 "python -m repro.experiments.report"
             )
 
+    def test_named_experiment_ranges_match_the_registry(self):
+        """Every "E1–Ek" the docs and docstrings name is the registry's range."""
+        import repro
+        import repro.cli
+        from repro.experiments import EXPERIMENTS
+
+        k = len(EXPERIMENTS)
+        assert sorted(EXPERIMENTS) == sorted(f"E{i}" for i in range(1, k + 1))
+        texts = {
+            "README.md": (ROOT / "README.md").read_text(),
+            "DESIGN.md": (ROOT / "DESIGN.md").read_text(),
+            "repro.cli": repro.cli.__doc__,
+            "repro": repro.__doc__,
+        }
+        for where, text in texts.items():
+            named = set(re.findall(r"E1[–-]E\d+", text))
+            assert named == {f"E1–E{k}"}, f"{where} names {sorted(named)}"
+
     def test_bench_files_exist_per_experiment(self):
         from repro.experiments import EXPERIMENTS
 
