@@ -33,10 +33,3 @@ def test_bench_scalar_phase_64_replicas(benchmark):
             p.step()
 
     benchmark(all_step)
-
-
-def test_bench_edge_batch_step_64_replicas(benchmark):
-    from repro.edgeorient.batch import BatchEdgeProcess
-
-    bp = BatchEdgeProcess([0] * N, R, seed=2)
-    benchmark(bp.step)

@@ -175,10 +175,10 @@ def test_bench_bus_throughput(benchmark):
 
 
 def _bus_overhead_item(item, seed_seq):
-    # Deterministic CPU-bound work (~0.5 ms): low-variance timing, so
+    # Deterministic CPU-bound work (~0.4 ms): low-variance timing, so
     # the ratio below measures map overhead, not allocator noise.
     acc = 0
-    for k in range(20_000):
+    for k in range(10_000):
         acc += k
     return acc + item
 
@@ -228,7 +228,7 @@ def test_bus_disabled_overhead_ratio(capsys):
     from repro.utils.parallel import parallel_replica_map
     from repro.utils.rng import spawn_seeds
 
-    items = list(range(64))
+    items = list(range(32))
 
     def raw():
         seeds = spawn_seeds(0, len(items))

@@ -33,7 +33,6 @@ from repro.balls import (
     ABKURule,
     AdaptiveRule,
     LoadVector,
-    OpenSystemProcess,
     RelocationProcess,
     ScenarioAProcess,
     ScenarioBProcess,
@@ -75,7 +74,6 @@ __all__ = [
     "ProcessSpec",
     "ScalarEngine",
     "VectorizedEngine",
-    "OpenSystemProcess",
     "RecoveryBounds",
     "RelocationProcess",
     "ScenarioAProcess",

@@ -19,10 +19,7 @@
 from repro.analysis.coalescence import CoalescenceSweep, sweep_coalescence
 from repro.analysis.diagnose import ChainDiagnostics, diagnose
 from repro.analysis.maxload import empirical_tail, stationary_max_load
-from repro.analysis.recovery_measure import (
-    recovery_times_balls,
-    recovery_times_edge,
-)
+from repro.analysis.recovery_measure import recovery_times_balls
 from repro.analysis.scaling import fit_power_law, fit_shape, shape_ratio_table
 from repro.analysis.stats import (
     bootstrap_ci,
@@ -30,11 +27,6 @@ from repro.analysis.stats import (
     holm_bonferroni,
     ks_two_sample,
     summarize,
-)
-from repro.analysis.tv_empirical import (
-    empirical_mixing_time,
-    empirical_tv_curve,
-    integrated_autocorrelation_time,
 )
 
 __all__ = [
@@ -45,14 +37,10 @@ __all__ = [
     "chi_square_gof",
     "holm_bonferroni",
     "ks_two_sample",
-    "empirical_mixing_time",
-    "empirical_tv_curve",
-    "integrated_autocorrelation_time",
     "empirical_tail",
     "fit_power_law",
     "fit_shape",
     "recovery_times_balls",
-    "recovery_times_edge",
     "shape_ratio_table",
     "stationary_max_load",
     "summarize",

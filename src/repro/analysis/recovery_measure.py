@@ -1,12 +1,12 @@
 """Recovery-from-crash measurements (§1.1's motivating question).
 
 "How long does it take until the system recovers?"  Operationally:
-start from an adversarially bad state (all m balls in one bin; all
-positive discrepancy concentrated on one vertex), run the process, and
-record the first phase at which the critical measure (max load /
-unfairness) re-enters the typical band.  The paper's answers: O(n ln n)
-for scenario A at m = n, O(n² ln n) for scenario B, O(n² ln² n) for
-edge orientation — the E7 / E4 measurements.
+start from an adversarially bad state (all m balls in one bin), run the
+process, and record the first phase at which the max load re-enters the
+typical band.  The paper's answers: O(n ln n) for scenario A at m = n
+and O(n² ln n) for scenario B — the E7 measurements.  The
+edge-orientation crash state (all positive discrepancy concentrated on
+one vertex) lives here too; E4 starts its coalescence runs from it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.balls.load_vector import LoadVector
 from repro.balls.rules import ABKURule, RandomWalkRule, SchedulingRule, UniformRule
 from repro.balls.scenario_a import ScenarioAProcess
 from repro.balls.scenario_b import ScenarioBProcess
-from repro.edgeorient.greedy import EdgeOrientationProcess
 from repro.utils.rng import SeedLike, spawn_generators
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "campaign_rule",
     "scenario_spec",
     "recovery_times_balls",
-    "recovery_times_edge",
     "crash_state_edge",
 ]
 
@@ -333,23 +331,3 @@ def crash_state_edge(n: int) -> list[int]:
     # d = (half, half-1, …, 1, [0], -1, …, -half): sums to 0.
     assert sum(d) == 0
     return d
-
-
-def recovery_times_edge(
-    n: int,
-    target_unfairness: int,
-    *,
-    start: list[int] | None = None,
-    replicas: int = 20,
-    max_steps: int = 100_000_000,
-    lazy: bool = True,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Steps from an edge-orientation crash until unfairness ≤ target."""
-    if start is None:
-        start = crash_state_edge(n)
-    times = np.empty(replicas, dtype=np.int64)
-    for k, rng in enumerate(spawn_generators(seed, replicas)):
-        proc = EdgeOrientationProcess(list(start), lazy=lazy, seed=rng)
-        times[k] = proc.run_until_unfairness(target_unfairness, max_steps)
-    return times

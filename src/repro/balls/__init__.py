@@ -51,7 +51,6 @@ from repro.balls.rules import (
 from repro.balls.scenario_a import ScenarioAProcess
 from repro.balls.scenario_b import ScenarioBProcess
 from repro.balls.static import static_allocate, static_max_load
-from repro.balls.open_system import OpenSystemProcess
 from repro.balls.relocation import RelocationProcess
 from repro.balls.majorization import bottom_state, check_monotone_phase, majorizes, top_state
 from repro.balls.custom_removal import (
@@ -73,7 +72,6 @@ __all__ = [
     "weight_scenario_b",
     "AdaptiveRule",
     "LoadVector",
-    "OpenSystemProcess",
     "RandomWalkRule",
     "RBBProcess",
     "RelocationProcess",

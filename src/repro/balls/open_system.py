@@ -12,10 +12,14 @@ balls.  Experiment E10 measures exactly that coalescence under the
 shared-randomness coupling (same insert/remove coin, coupled removal
 uniform, shared rule source).
 
-Two removal flavours are supported, mirroring scenarios A and B; the
-process is a :func:`repro.engine.spec.open_spec` executed by the scalar
-engine's :class:`~repro.engine.scalar.OpenSpecProcess` (the vectorized
-and exact engines run the same spec batched / as a dense kernel).
+Two removal flavours are supported, mirroring scenarios A and B: the
+process is :func:`repro.engine.spec.open_spec` (``removal='ball'``
+removes a uniform ball, ``removal='bin'`` removes from a uniform
+nonempty bin; a removal on the empty state is a no-op, matching the
+paper's "remove a random *existing* ball").  Simulate it with
+``ScalarEngine.make(open_spec(rule, removal=…), state, seed=…)``; the
+vectorized and exact engines run the same spec batched / as a dense
+kernel.
 """
 
 from __future__ import annotations
@@ -26,42 +30,12 @@ import numpy as np
 
 from repro.balls.load_vector import LoadVector
 from repro.balls.rules import SchedulingRule
-from repro.engine.scalar import OpenSpecProcess
 from repro.engine.spec import open_spec
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["OpenSystemProcess", "coupled_open_coalescence"]
+__all__ = ["coupled_open_coalescence"]
 
 RemovalKind = Literal["ball", "bin"]
-
-
-class OpenSystemProcess(OpenSpecProcess):
-    """The §7 open process: ½ remove / ½ insert each step.
-
-    ``removal='ball'`` removes a uniform ball (scenario-A flavour);
-    ``removal='bin'`` removes from a uniform nonempty bin (scenario-B
-    flavour).  A removal step on the empty state is a no-op, matching
-    the paper's "remove a random *existing* ball".
-    """
-
-    def __init__(
-        self,
-        rule: SchedulingRule,
-        state: Union[LoadVector, np.ndarray, list],
-        *,
-        removal: RemovalKind = "ball",
-        max_balls: int | None = None,
-        seed: SeedLike = None,
-    ):
-        spec = open_spec(rule, removal=removal, max_balls=max_balls)
-        super().__init__(spec, state, seed=seed)
-        self.removal: RemovalKind = removal
-
-    def __repr__(self) -> str:
-        return (
-            f"OpenSystemProcess(n={self.n}, m={self.m}, removal={self.removal!r}, "
-            f"t={self._t})"
-        )
 
 
 def coupled_open_coalescence(

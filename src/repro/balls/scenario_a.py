@@ -29,7 +29,7 @@ from repro.engine.scalar import SpecProcess
 from repro.engine.spec import scenario_a_spec
 from repro.utils.rng import SeedLike
 
-__all__ = ["ScenarioAProcess", "scenario_a_transition"]
+__all__ = ["ScenarioAProcess"]
 
 
 class ScenarioAProcess(SpecProcess):
@@ -49,23 +49,3 @@ class ScenarioAProcess(SpecProcess):
         seed: SeedLike = None,
     ):
         super().__init__(scenario_a_spec(rule), state, seed=seed)
-
-
-def scenario_a_transition(
-    rule: SchedulingRule,
-    v: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One functional I_A phase on a raw normalized array (returns a copy).
-
-    Used by coupling code that needs transitions without simulator
-    state.  O(n) per call (cumulative-sum removal draw); prefer
-    :class:`ScenarioAProcess` for long runs.
-    """
-    from repro.balls.distributions import sample_removal_a
-    from repro.balls.load_vector import ominus, oplus
-
-    i = sample_removal_a(v, rng)
-    vstar = ominus(v, i)
-    j = rule.select(vstar, rng)
-    return oplus(vstar, j)

@@ -30,7 +30,7 @@ from repro.engine.scalar import SpecProcess
 from repro.engine.spec import scenario_b_spec
 from repro.utils.rng import SeedLike
 
-__all__ = ["ScenarioBProcess", "scenario_b_transition"]
+__all__ = ["ScenarioBProcess"]
 
 
 class ScenarioBProcess(SpecProcess):
@@ -55,18 +55,3 @@ class ScenarioBProcess(SpecProcess):
     def num_nonempty(self) -> int:
         """Current count s of nonempty bins (the tail count g[1])."""
         return self._g[1]
-
-
-def scenario_b_transition(
-    rule: SchedulingRule,
-    v: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One functional I_B phase on a raw normalized array (returns a copy)."""
-    from repro.balls.distributions import sample_removal_b
-    from repro.balls.load_vector import ominus, oplus
-
-    i = sample_removal_b(v, rng)
-    vstar = ominus(v, i)
-    j = rule.select(vstar, rng)
-    return oplus(vstar, j)

@@ -7,12 +7,9 @@ satisfies E[Δ(X_{t+s}, Y_{t+s})] ≤ ρ_s·Δ(X_t, Y_t) on Γ with ρ_s < 1,
 then τ_𝔐(ε) ≤ s·⌈ln(D/ε)/(1 − ρ_s)⌉.
 
 Here the s-step couplings are obtained by *iterating* the paper's
-one-step couplings, and their contraction is computed two ways:
-
-* **exactly**, as the expected Δ after s steps of the coupled (product)
-  chain of :mod:`repro.markov.product`, maximized over Γ pairs;
-* **empirically**, by Monte-Carlo iteration of the sampled coupled
-  steps at sizes where the product chain is too large.
+one-step couplings, and their contraction is computed exactly, as the
+expected Δ after s steps of the coupled (product) chain of
+:mod:`repro.markov.product`, maximized over Γ pairs.
 
 For scenario B this is interesting: the one-step coupling has ρ₁ = 1
 (no strict contraction — the reason Claim 5.3 needs the variance case
@@ -24,17 +21,14 @@ that into a case-1 bound, which the tests compare against Claim 5.3.
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal
 
 import numpy as np
 
 from repro.balls.load_vector import delta_distance
 from repro.markov.product import CoupledChain
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "exact_s_step_contraction",
-    "empirical_s_step_contraction",
     "delayed_path_coupling_bound",
 ]
 
@@ -68,77 +62,6 @@ def exact_s_step_contraction(
     if worst == 0.0:
         raise ValueError("no adjacent pairs found in the coupled chain")
     return worst
-
-
-def _grand_step(
-    rule,
-    v: np.ndarray,
-    u: np.ndarray,
-    rng: np.random.Generator,
-    scenario: Literal["a", "b"],
-) -> tuple[np.ndarray, np.ndarray]:
-    """One shared-randomness phase, valid for pairs at *any* distance.
-
-    (The §4/§5 couplings are only defined on adjacent pairs; after one
-    §5 step the pair can sit at distance 2, so the iteration must use a
-    coupling closed under composition — this is the grand coupling of
-    :mod:`repro.coupling.grand` expressed as a single step.)
-    """
-    from repro.balls.distributions import quantile_removal_a, quantile_removal_b
-    from repro.balls.load_vector import ominus, oplus
-
-    quantile = quantile_removal_a if scenario == "a" else quantile_removal_b
-    q = float(rng.random())
-    v = ominus(v, quantile(v, q))
-    u = ominus(u, quantile(u, q))
-    n = v.shape[0]
-    length = max(rule.source_length(v), rule.source_length(u))
-    rs = rng.integers(0, n, size=length)
-    v = oplus(v, rule.select_from_source(v, rs))
-    u = oplus(u, rule.select_from_source(u, rule.phi(rs)))
-    return v, u
-
-
-def empirical_s_step_contraction(
-    coupled_step: Callable,
-    rule,
-    n: int,
-    m: int,
-    s: int,
-    *,
-    scenario: Literal["a", "b"] = "a",
-    samples: int = 1000,
-    seed: SeedLike = None,
-) -> float:
-    """Monte-Carlo ρ_s on typical adjacent pairs at larger sizes.
-
-    The *first* step uses ``coupled_step`` (the paper's §4/§5 coupling,
-    defined on the adjacent starting pair); subsequent steps use the
-    grand shared-randomness coupling, which composes at any distance.
-    """
-    from repro.balls.load_vector import LoadVector
-    from repro.balls.scenario_a import ScenarioAProcess
-    from repro.balls.scenario_b import ScenarioBProcess
-    from repro.coupling.contraction import adjacent_perturbation
-
-    rng = as_generator(seed)
-    proc_cls = ScenarioAProcess if scenario == "a" else ScenarioBProcess
-    proc = proc_cls(rule, LoadVector.random(m, n, rng), seed=rng)
-    proc.run(int(4 * m * math.log(max(m, 2))) + 100)
-    total = 0.0
-    for _ in range(samples):
-        proc.run(1)
-        v = proc.loads.copy()
-        u = adjacent_perturbation(v, rng)
-        for step_idx in range(s):
-            if np.array_equal(v, u):
-                break
-            if step_idx == 0:
-                v, u = coupled_step(rule, v, u, rng)
-            else:
-                v, u = _grand_step(rule, v, u, rng, scenario)
-        total += delta_distance(v, u)
-    return total / samples
 
 
 def delayed_path_coupling_bound(

@@ -44,7 +44,6 @@ __all__ = [
     "coalescence_time_b",
     "coalescence_time_edge",
     "coalescence_times",
-    "coalescence_times_vectorized",
 ]
 
 StateLike = Union[LoadVector, np.ndarray, list]
@@ -332,96 +331,3 @@ def coalescence_times(
     return np.array(
         [fn(*args, seed=g, **kwargs) for g in gens], dtype=np.int64
     )
-
-
-def coalescence_times_vectorized(
-    spec: ProcessSpec,
-    start_v: StateLike,
-    start_u: StateLike,
-    replicas: int,
-    *,
-    max_steps: int = 1_000_000,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """R independent grand-coupling replicas advanced as two (R, n) matrices.
-
-    Each replica carries its own pair of chains driven by its own row
-    of shared uniforms: removal is quantile-coupled through the spec's
-    ``quantile_batch``, and an inverse-transform rule places both
-    chains at the same normalized index (the identity-Φ coupling of
-    Lemma 3.4, which for load-independent insertion laws is exactly the
-    shared-source coupling).  Requires a closed spec the vectorized
-    engine supports.  Coalesced pairs keep stepping (shared randomness
-    keeps them equal) while their times are frozen.  Returns the int64
-    array of times (−1 where the cap was hit).
-    """
-    from repro.engine.vectorized import VectorizedEngine
-
-    if spec.step.synchronous:
-        raise ValueError(
-            f"spec {spec.name!r} has a synchronous step shape; the grand "
-            "coupling routes one sequential phase per step and would run "
-            "the wrong dynamics"
-        )
-    if spec.kind != "closed":
-        raise ValueError(
-            "vectorized coalescence needs a closed spec (open-system "
-            "coupling stays on coalescence_time_spec)"
-        )
-    ok, why = VectorizedEngine.supports(spec)
-    if not ok:
-        raise ValueError(f"spec {spec.name!r} is not vectorizable: {why}")
-    replicas = int(replicas)
-    rng = as_generator(seed)
-    v0 = _as_array(start_v)
-    u0 = _as_array(start_u)
-    if v0.shape != u0.shape or int(v0.sum()) != int(u0.sum()):
-        raise ValueError("states must have equal size and ball count")
-    n = v0.shape[0]
-    rule = spec.rule
-    law = spec.removal
-    X = np.tile(v0, (replicas, 1)).astype(np.int64)
-    Y = np.tile(u0, (replicas, 1)).astype(np.int64)
-    rows = np.arange(replicas)
-    times = np.full(replicas, -1, dtype=np.int64)
-    if np.array_equal(v0, u0):
-        times[:] = 0
-        return times
-    alive = np.ones(replicas, dtype=bool)
-
-    def apply_dec(V: np.ndarray, idx: np.ndarray) -> None:
-        vals = V[rows, idx]
-        pos = (V >= vals[:, None]).sum(axis=1) - 1
-        V[rows, pos] -= 1
-
-    def apply_inc(V: np.ndarray, idx: np.ndarray) -> None:
-        vals = V[rows, idx]
-        pos = (V > vals[:, None]).sum(axis=1)
-        V[rows, pos] += 1
-
-    for step in range(1, max_steps + 1):
-        q = rng.random(replicas)
-        apply_dec(X, law.quantile_batch(X, q))
-        apply_dec(Y, law.quantile_batch(Y, q))
-        j = rule.insertion_quantile_batch(n, rng.random(replicas))
-        apply_inc(X, j)
-        apply_inc(Y, j)
-        if spec.p_relocate > 0:
-            coin = rng.random(replicas) < spec.p_relocate
-            t = rule.insertion_quantile_batch(n, rng.random(replicas))
-            for V in (X, Y):
-                sel = np.nonzero(coin & ((V[rows, 0] - V[rows, t]) >= 2))[0]
-                if sel.size:
-                    vals = V[sel, 0]
-                    pos = (V[sel] >= vals[:, None]).sum(axis=1) - 1
-                    V[sel, pos] -= 1
-                    tv = V[sel, t[sel]]
-                    pos = (V[sel] > tv[:, None]).sum(axis=1)
-                    V[sel, pos] += 1
-        newly = alive & (X == Y).all(axis=1)
-        if newly.any():
-            times[newly] = step
-            alive &= ~newly
-            if not alive.any():
-                break
-    return times

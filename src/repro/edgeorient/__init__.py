@@ -23,8 +23,6 @@ Modules:
   and the Ajtai et al. fairness reduction (§1.1).
 """
 
-from repro.edgeorient.arrival import GeneralArrivalEdgeProcess
-from repro.edgeorient.batch import BatchEdgeProcess
 from repro.edgeorient.carpool import CarpoolSimulator
 from repro.edgeorient.chain import edge_orientation_kernel
 from repro.edgeorient.greedy import EdgeOrientationProcess
@@ -39,9 +37,7 @@ from repro.edgeorient.state import (
 )
 
 __all__ = [
-    "BatchEdgeProcess",
     "CarpoolSimulator",
-    "GeneralArrivalEdgeProcess",
     "EdgeOrientationMetric",
     "EdgeOrientationProcess",
     "class_of_discrepancy",

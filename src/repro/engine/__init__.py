@@ -31,7 +31,6 @@ from repro.engine.registry import (
     SpecEntry,
     engine_for,
     engine_support,
-    get_engine,
     register_spec,
     registered_specs,
     spec_entries,
@@ -77,7 +76,6 @@ __all__ = [
     "custom_removal_spec",
     "engine_for",
     "engine_support",
-    "get_engine",
     "open_spec",
     "rbb_spec",
     "rbb_twochoice_spec",

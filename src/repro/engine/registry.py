@@ -41,7 +41,6 @@ __all__ = [
     "spec_entries",
     "engine_support",
     "batched_kernel",
-    "get_engine",
     "engine_for",
 ]
 
@@ -106,17 +105,6 @@ def batched_kernel(spec: ProcessSpec) -> tuple[bool, str]:
     if spec.kind == "closed":
         return True, "fused slab (pre-drawn RNG, fused ⊕/⊖)"
     return True, "open slab (pre-drawn RNG, per-step kernel)"
-
-
-def get_engine(name: str):
-    """Look an engine class up by its ``name`` attribute."""
-    for engine in ENGINES:
-        if engine.name == name:
-            return engine
-    raise ValueError(
-        f"unknown engine {name!r}; choose from "
-        f"{', '.join(e.name for e in ENGINES)}"
-    )
 
 
 def engine_for(spec: ProcessSpec, scale: str, *, replicas: int = 1):

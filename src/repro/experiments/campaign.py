@@ -34,7 +34,7 @@ import time
 from repro.analysis.recovery_measure import CAMPAIGN_SCENARIOS
 from repro.checkpoint.campaign import run_checkpointed_campaign
 from repro.utils.rng import SeedLike
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = ["campaign_config", "run_campaign", "default_campaign_dir"]
 
@@ -72,7 +72,8 @@ def campaign_config(
 ) -> dict:
     """Validate a campaign's arguments and build its config record.
 
-    Raises ``ValueError`` naming the reason before anything is written.
+    Raises ``ValueError`` (``TypeError`` for a count that is not an
+    int) naming the reason before anything is written.
     The campaign starts every replica from the all-in-one crash state
     and measures the hitting time of max load ≤ *target* (default:
     :func:`~repro.obs.probes.recovery_target`).
@@ -106,6 +107,14 @@ def campaign_config(
         raise ValueError(
             f"scenario must be one of {CAMPAIGN_SCENARIOS}, got {scenario!r}"
         )
+    n = check_positive_int("n", n)
+    m = n if m is None else check_positive_int("m", m)
+    replicas = check_positive_int("replicas", replicas)
+    if processes is not None:
+        processes = check_positive_int("processes", processes)
+    max_steps = check_positive_int("max_steps", max_steps)
+    probe_every = check_nonnegative_int("probe_every", probe_every)
+    save_every = check_nonnegative_int("save_every", save_every)
     pooled = engine != "exact" and (processes is None or processes > 1)
     if restart_lost > 0 and not (pooled and save_every > 0):
         raise ValueError(
@@ -124,12 +133,15 @@ def campaign_config(
             f"batch={batch} needs engine='vectorized': the {engine} engine "
             "has no segment kernels and steps one phase at a time"
         )
-    if m is None:
-        m = n
     if target is None:
         from repro.obs.probes import recovery_target
 
         target = recovery_target(n, m)
+    elif engine != "exact" and target < -(-m // n):
+        raise ValueError(
+            f"target={target} is below ceil(m/n) = {-(-m // n)}: every "
+            "campaign scenario keeps all m balls, so no replica can reach it"
+        )
     return {
         "n": n,
         "m": m,
@@ -144,7 +156,7 @@ def campaign_config(
         "heartbeat_s": heartbeat_s,
         "seed": seed,
         "trace": trace,
-        "save_every": int(save_every),
+        "save_every": save_every,
         "eps": float(eps),
         "restart_lost": int(restart_lost),
         "batch": batch,

@@ -34,10 +34,8 @@ from repro.markov.conductance import cheeger_bounds, conductance
 from repro.markov.hitting import expected_hitting_times, max_load_target_set
 from repro.markov.product import build_coupled_chain_a, build_coupled_chain_b
 from repro.markov.lower_bounds import reachability_lower_bound, relaxation_lower_bound
-from repro.markov.reversibility import is_reversible, reversibilization
 from repro.markov.spectral import relaxation_time, spectral_gap
 from repro.markov.stationary import stationary_distribution
-from repro.markov.wasserstein import wasserstein_decay, wasserstein_distance
 
 __all__ = [
     "FiniteMarkovChain",
@@ -48,13 +46,9 @@ __all__ = [
     "cheeger_bounds",
     "conductance",
     "expected_hitting_times",
-    "is_reversible",
     "reachability_lower_bound",
     "relaxation_lower_bound",
-    "reversibilization",
     "max_load_target_set",
-    "wasserstein_decay",
-    "wasserstein_distance",
     "exact_mixing_time",
     "is_aperiodic",
     "is_irreducible",

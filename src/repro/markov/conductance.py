@@ -26,7 +26,6 @@ from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "edge_flow_matrix",
-    "set_conductance",
     "conductance",
     "cheeger_bounds",
 ]
@@ -37,32 +36,6 @@ def edge_flow_matrix(chain: FiniteMarkovChain, pi: np.ndarray | None = None) -> 
     if pi is None:
         pi = stationary_distribution(chain)
     return pi[:, None] * chain.P
-
-
-def set_conductance(
-    chain: FiniteMarkovChain,
-    subset: np.ndarray,
-    pi: np.ndarray | None = None,
-    Q: np.ndarray | None = None,
-) -> float:
-    """Bottleneck ratio Q(S, S̄)/π(S) of a boolean-mask subset S.
-
-    Raises for the empty or full set (undefined).
-    """
-    mask = np.asarray(subset, dtype=bool)
-    if mask.shape != (chain.size,):
-        raise ValueError(f"subset mask must have shape ({chain.size},)")
-    if not mask.any() or mask.all():
-        raise ValueError("conductance is undefined for the empty/full set")
-    if pi is None:
-        pi = stationary_distribution(chain)
-    if Q is None:
-        Q = edge_flow_matrix(chain, pi)
-    flow_out = float(Q[np.ix_(mask, ~mask)].sum())
-    mass = float(pi[mask].sum())
-    if mass <= 0:
-        return float("inf")
-    return flow_out / mass
 
 
 def conductance(

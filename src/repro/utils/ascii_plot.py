@@ -1,4 +1,4 @@
-"""Dependency-free ASCII sparklines and mini-plots.
+"""Dependency-free ASCII sparklines.
 
 The CLI and examples run in terminals without plotting stacks; a
 sparkline column (`▁▂▃▅▇`) is enough to *see* a recovery trajectory or
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["sparkline", "histogram_bars"]
+__all__ = ["sparkline"]
 
 _TICKS = "▁▂▃▄▅▆▇█"
 
@@ -36,28 +36,3 @@ def sparkline(values: Sequence[float], *, lo: float | None = None, hi: float | N
         idx = min(int(frac * len(_TICKS)), len(_TICKS) - 1)
         out.append(_TICKS[idx])
     return "".join(out)
-
-
-def histogram_bars(
-    counts: Sequence[float],
-    labels: Sequence[str] | None = None,
-    *,
-    width: int = 40,
-) -> str:
-    """Horizontal ASCII bar chart of non-negative counts."""
-    vals = [float(c) for c in counts]
-    if not vals:
-        return ""
-    if any(v < 0 for v in vals):
-        raise ValueError("histogram counts must be non-negative")
-    if labels is None:
-        labels = [str(i) for i in range(len(vals))]
-    if len(labels) != len(vals):
-        raise ValueError("labels/counts length mismatch")
-    peak = max(vals) or 1.0
-    label_w = max(len(str(l)) for l in labels)
-    lines = []
-    for label, v in zip(labels, vals):
-        bar = "#" * int(round(width * v / peak))
-        lines.append(f"{str(label).rjust(label_w)} | {bar} {v:g}")
-    return "\n".join(lines)

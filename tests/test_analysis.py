@@ -9,11 +9,7 @@ from repro.analysis.maxload import (
     stationary_max_load,
     typical_max_load_target,
 )
-from repro.analysis.recovery_measure import (
-    crash_state_edge,
-    recovery_times_balls,
-    recovery_times_edge,
-)
+from repro.analysis.recovery_measure import crash_state_edge, recovery_times_balls
 from repro.analysis.scaling import fit_power_law, fit_shape, shape_ratio_table
 from repro.analysis.stats import bootstrap_ci, fraction_below, summarize
 from repro.balls.load_vector import LoadVector
@@ -149,10 +145,6 @@ class TestRecoveryMeasure:
             d = crash_state_edge(n)
             assert len(d) == n and sum(d) == 0
             assert max(abs(x) for x in d) == n // 2
-
-    def test_edge_recovery(self):
-        times = recovery_times_edge(16, target_unfairness=2, replicas=4, seed=3)
-        assert (times > 0).all()
 
 
 class TestCoalescenceSweep:

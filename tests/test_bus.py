@@ -369,6 +369,57 @@ def test_run_campaign_rejects_bad_batch(tmp_path, kw, why):
     assert not out.exists()
 
 
+_BAD_CAMPAIGN_ARGS = [
+    (dict(n=0), ["--n", "0"], "n must be >= 1, got 0"),
+    (dict(n=1, m=0), ["--n", "1", "--m", "0"], "m must be >= 1, got 0"),
+    (dict(replicas=0), ["--replicas", "0"], "replicas must be >= 1, got 0"),
+    (dict(replicas=-3), ["--replicas", "-3"], "replicas must be >= 1, got -3"),
+    (dict(processes=0), ["--processes", "0"], "processes must be >= 1, got 0"),
+    (dict(processes=-1), ["--processes", "-1"], "processes must be >= 1, got -1"),
+    (dict(max_steps=0), ["--max-steps", "0"], "max_steps must be >= 1, got 0"),
+    (dict(max_steps=-1), ["--max-steps", "-1"], "max_steps must be >= 1, got -1"),
+    (dict(probe_every=-1), ["--probe-every", "-1"],
+     "probe_every must be >= 0, got -1"),
+    (dict(save_every=-5), ["--save-every", "-5"],
+     "save_every must be >= 0, got -5"),
+    (dict(target=-1), ["--target", "-1"], "target=-1 is below ceil(m/n) = 1"),
+    (dict(n=4, m=9, target=2, engine="vectorized"),
+     ["--n", "4", "--m", "9", "--target", "2", "--engine", "vectorized"],
+     "target=2 is below ceil(m/n) = 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "kw, argv, why", _BAD_CAMPAIGN_ARGS,
+    ids=[" ".join(argv) for _, argv, _ in _BAD_CAMPAIGN_ARGS],
+)
+def test_campaign_config_rejects_bad_arguments(tmp_path, capsys, kw, argv, why):
+    # Rejected before the run directory exists: run on, these values
+    # give a nan median (replicas=0), record processes <= 0 in
+    # meta.json, run every replica to the step cap (a target below
+    # ceil(m/n) is unreachable while m balls stay), or fail deep in
+    # numpy or the metrics registry after meta.json is written.
+    from repro.cli import main
+    from repro.experiments.campaign import campaign_config
+
+    with pytest.raises(ValueError, match=re.escape(why)):
+        campaign_config(**kw)
+    out = tmp_path / "x"
+    assert main(["campaign", *argv, "--out", str(out)]) == 2
+    assert f"error: {why}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_campaign_config_accepts_the_boundary_values():
+    from repro.experiments.campaign import campaign_config
+
+    cfg = campaign_config(n=4, m=9, target=3, processes=None,
+                          probe_every=0, save_every=0, max_steps=1)
+    assert (cfg["target"], cfg["processes"]) == (3, None)
+    # The exact engine measures TV recovery and never reads the target.
+    assert campaign_config(engine="exact", target=0)["target"] == 0
+
+
 def test_recovery_times_rejects_bad_batch():
     from repro.balls.load_vector import LoadVector
     from repro.engine import VectorizedEngine, registered_specs

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.balls.rules import ABKURule
-from repro.coupling.delayed import (
-    delayed_path_coupling_bound,
-    empirical_s_step_contraction,
-    exact_s_step_contraction,
-)
+from repro.coupling.delayed import delayed_path_coupling_bound, exact_s_step_contraction
 from repro.coupling.recovery import claim53_bound, theorem1_bound
-from repro.coupling.scenario_a_coupling import coupled_step_a
-from repro.coupling.scenario_b_coupling import coupled_step_b
 from repro.markov import exact_mixing_time, scenario_b_kernel
 from repro.markov.product import build_coupled_chain_a, build_coupled_chain_b
 
@@ -87,23 +81,3 @@ class TestDelayedBound:
             bound = delayed_path_coupling_bound(rho_s, s, m, 0.25)
             # Same order as Theorem 1 at this size (within 3x).
             assert bound <= 3 * theorem1_bound(m, 0.25)
-
-
-class TestEmpiricalContraction:
-    def test_matches_exact_small(self, abku2):
-        cc = build_coupled_chain_a(abku2, 3, 4)
-        exact = exact_s_step_contraction(cc, 2)
-        # Empirical over typical pairs is <= the worst-pair exact value
-        # (within noise).
-        emp = empirical_s_step_contraction(
-            coupled_step_a, abku2, 3, 4, 2, scenario="a",
-            samples=800, seed=0,
-        )
-        assert emp <= exact + 0.1
-
-    def test_scenario_b_path(self, abku2):
-        emp = empirical_s_step_contraction(
-            coupled_step_b, abku2, 8, 8, 4, scenario="b",
-            samples=300, seed=1,
-        )
-        assert 0.0 <= emp <= 1.2

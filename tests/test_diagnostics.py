@@ -1,35 +1,10 @@
-"""Tests for conductance, empirical TV, IAT, weighted balls, arrivals,
-and the parallel replica map."""
+"""Tests for conductance and the parallel replica map."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.tv_empirical import (
-    empirical_mixing_time,
-    empirical_tv_curve,
-    integrated_autocorrelation_time,
-)
-from repro.balls.load_vector import LoadVector
-from repro.balls.rules import ABKURule
-from repro.balls.scenario_a import ScenarioAProcess
-from repro.balls.weighted import (
-    WeightedScenarioAProcess,
-    exponential_weights,
-    uniform_weights,
-)
-from repro.edgeorient.arrival import (
-    GeneralArrivalEdgeProcess,
-    clustered_pairs,
-    product_pairs,
-    uniform_pairs,
-)
 from repro.markov import FiniteMarkovChain, scenario_a_kernel
-from repro.markov.conductance import (
-    cheeger_bounds,
-    conductance,
-    edge_flow_matrix,
-    set_conductance,
-)
+from repro.markov.conductance import cheeger_bounds, conductance, edge_flow_matrix
 from repro.utils.parallel import parallel_replica_map
 
 
@@ -51,14 +26,6 @@ class TestConductance:
         Q = edge_flow_matrix(two_state)
         assert Q.sum() == pytest.approx(1.0)
 
-    def test_set_conductance_validation(self, two_state):
-        with pytest.raises(ValueError):
-            set_conductance(two_state, np.array([True, True]))
-        with pytest.raises(ValueError):
-            set_conductance(two_state, np.array([False, False]))
-        with pytest.raises(ValueError):
-            set_conductance(two_state, np.array([True]))
-
     def test_cheeger_sandwich_exact(self, abku2):
         ch = scenario_a_kernel(abku2, 3, 4)
         lo, gap, hi = cheeger_bounds(ch)
@@ -77,188 +44,6 @@ class TestConductance:
 
         phis = [conductance(scenario_b_kernel(abku2, k, k)) for k in (3, 5, 7)]
         assert phis[0] > phis[1] > phis[2]
-
-
-# ---------------------------------------------------------------------------
-# empirical TV + IAT
-# ---------------------------------------------------------------------------
-
-class TestEmpiricalTV:
-    def _make(self, rng):
-        return ScenarioAProcess(
-            ABKURule(2), LoadVector.all_in_one(4, 3), seed=rng
-        )
-
-    @staticmethod
-    def _key(proc):
-        return proc.state.as_tuple()
-
-    def test_curve_decreases(self):
-        curve = empirical_tv_curve(
-            self._make, self._key, [0, 2, 8],
-            replicas=1500, reference_burn_in=200,
-            reference_samples=3000, reference_spacing=3, seed=0,
-        )
-        assert curve[0] > 0.5          # point mass far from pi
-        assert curve[-1] < curve[0]    # mixing happened
-
-    @pytest.mark.statistical
-    def test_empirical_vs_exact_mixing(self, abku2):
-        """Empirical mixing time within a small factor of the exact one."""
-        from repro.markov import exact_mixing_time
-
-        tau = exact_mixing_time(scenario_a_kernel(abku2, 3, 4), 0.25)
-        emp = empirical_mixing_time(
-            self._make, self._key, 0.3,  # slack for sampling noise
-            t_max=4 * tau + 8, t_step=1,
-            replicas=2000, reference_burn_in=200,
-            reference_samples=4000, reference_spacing=3, seed=1,
-        )
-        assert 0 < emp <= 4 * tau + 8
-
-    def test_checkpoint_validation(self):
-        with pytest.raises(ValueError):
-            empirical_tv_curve(
-                self._make, self._key, [-1],
-                replicas=2, reference_burn_in=1,
-                reference_samples=1, reference_spacing=1,
-            )
-
-
-class TestIAT:
-    def test_iid_series_near_one(self, rng):
-        tau = integrated_autocorrelation_time(rng.normal(size=20000))
-        assert 0.8 < tau < 1.3
-
-    def test_ar1_series(self, rng):
-        # AR(1) with phi=0.9: tau_int = (1+phi)/(1-phi) = 19.
-        phi = 0.9
-        x = np.empty(200_000)
-        x[0] = 0.0
-        noise = rng.normal(size=x.size)
-        for i in range(1, x.size):
-            x[i] = phi * x[i - 1] + noise[i]
-        tau = integrated_autocorrelation_time(x)
-        assert 13 < tau < 26
-
-    def test_constant_series(self):
-        assert integrated_autocorrelation_time(np.ones(100)) == 1.0
-
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
-            integrated_autocorrelation_time(np.array([1.0, 2.0]))
-
-    def test_slower_chain_has_larger_iat(self, abku2):
-        """Scenario B's slower mixing shows in the max-load IAT."""
-        from repro.balls.scenario_b import ScenarioBProcess
-
-        n = 64
-        pa = ScenarioAProcess(abku2, LoadVector.random(n, n, 0), seed=1)
-        pb = ScenarioBProcess(abku2, LoadVector.random(n, n, 0), seed=1)
-        sa = pa.trajectory(40000, every=1)
-        sb = pb.trajectory(40000, every=1)
-        assert integrated_autocorrelation_time(sb) > integrated_autocorrelation_time(sa)
-
-
-# ---------------------------------------------------------------------------
-# weighted balls
-# ---------------------------------------------------------------------------
-
-class TestWeightedBalls:
-    def test_crashed_constructor(self):
-        p = WeightedScenarioAProcess.crashed(50, 10, seed=0)
-        assert p.m == 50
-        assert p.loads[0] == pytest.approx(p.total_weight)
-
-    def test_loads_consistent_with_assignment(self):
-        p = WeightedScenarioAProcess.crashed(40, 8, seed=1)
-        p.run(500)
-        recomputed = np.bincount(p._b, weights=p._w, minlength=p.n)
-        assert np.allclose(recomputed, p.loads)
-
-    def test_two_choices_recovers_crash(self):
-        p = WeightedScenarioAProcess.crashed(128, 128, d=2, seed=2)
-        target = 4.0  # a few unit-ish weights per server
-        steps = p.run_until_max_load(target, max_steps=50_000)
-        assert 0 < steps < 50_000
-
-    def test_d1_worse_than_d2(self):
-        n = 128
-        p1 = WeightedScenarioAProcess.crashed(n, n, d=1, seed=3)
-        p2 = WeightedScenarioAProcess.crashed(n, n, d=2, seed=3)
-        p1.run(20 * n)
-        p2.run(20 * n)
-        assert p2.max_load < p1.max_load
-
-    def test_exponential_weights(self):
-        p = WeightedScenarioAProcess.crashed(
-            30, 6, weight_sampler=exponential_weights(1.0), seed=4
-        )
-        p.run(200)
-        assert p.max_load > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightedScenarioAProcess(4, [1.0, -1.0], [0, 1])
-        with pytest.raises(ValueError):
-            WeightedScenarioAProcess(4, [1.0], [7])
-        with pytest.raises(ValueError):
-            uniform_weights(0, 1)
-        with pytest.raises(ValueError):
-            exponential_weights(0)
-
-
-# ---------------------------------------------------------------------------
-# non-uniform arrivals
-# ---------------------------------------------------------------------------
-
-class TestArrivals:
-    def test_uniform_matches_base_process(self):
-        """Uniform-arrival general process ~ EdgeOrientationProcess."""
-        from repro.edgeorient.greedy import EdgeOrientationProcess
-
-        n = 64
-        g = GeneralArrivalEdgeProcess([0] * n, uniform_pairs(n), seed=0)
-        b = EdgeOrientationProcess(n, lazy=False, seed=0)
-        g.run(5000)
-        b.run(5000)
-        assert abs(g.unfairness - b.unfairness) <= 3
-
-    def test_pair_samplers_distinct(self, rng):
-        for sampler in (
-            uniform_pairs(6),
-            product_pairs(np.arange(1, 7, dtype=float)),
-            clustered_pairs(10, 4, 0.5),
-        ):
-            for _ in range(200):
-                u, w = sampler(rng)
-                assert u != w
-
-    def test_skew_slows_recovery(self):
-        """Rarely-sampled vertices repair slowly: skewed arrivals take
-        longer to fix a crash concentrated on a rare vertex."""
-        n = 24
-        # Crash: the *last* (lowest-weight under skew) vertex is unfair.
-        start = [0] * n
-        start[-1] = 6
-        start[0] = -6
-        uni_times, skew_times = [], []
-        weights = np.ones(n)
-        weights[-1] = 0.05  # vertex n-1 is rarely available
-        for s in range(8):
-            g = GeneralArrivalEdgeProcess(start, uniform_pairs(n), seed=s)
-            uni_times.append(g.run_until_unfairness(2, 10**6))
-            g = GeneralArrivalEdgeProcess(start, product_pairs(weights), seed=s)
-            skew_times.append(g.run_until_unfairness(2, 10**6))
-        assert np.median(skew_times) > np.median(uni_times)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeneralArrivalEdgeProcess([1, 0], uniform_pairs(2))
-        with pytest.raises(ValueError):
-            product_pairs(np.array([1.0]))
-        with pytest.raises(ValueError):
-            clustered_pairs(4, 1, 0.5)
 
 
 # ---------------------------------------------------------------------------

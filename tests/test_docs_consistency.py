@@ -1,6 +1,7 @@
 """Documentation-consistency gates.
 
-DESIGN.md and THEORY.md reference modules by dotted path; the README
+README, EXPERIMENTS.md, DESIGN.md and docs/*.md name modules and their
+attributes by dotted path, and every such name resolves; the README
 quickstart must actually run; docs/API.md is its generator's output;
 every ``python -m repro`` command the docs show or the program prints
 parses.  These tests keep prose and code from drifting apart.
@@ -22,34 +23,41 @@ from repro.cli import _print_campaign_summary, build_parser, main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _referenced_modules(text: str) -> set[str]:
-    # `repro.xxx.yyy` inside backticks, excluding call-like suffixes.
-    refs = set()
-    for match in re.finditer(r"`(repro(?:\.[a-z_0-9]+)+)", text):
-        refs.add(match.group(1))
-    return refs
+def _referenced_names(text: str) -> set[str]:
+    # `repro.pkg.module[.Attr…]` inside backticks, without call-like
+    # suffixes; schema ids such as `repro.bench/1` name no Python object.
+    pattern = r"`(repro(?:\.[A-Za-z_][A-Za-z_0-9]*)+)(?![A-Za-z_0-9/])"
+    return set(re.findall(pattern, text))
+
+
+def _resolves(ref: str) -> bool:
+    """Import the longest module prefix of *ref*, then get each attribute."""
+    parts = ref.split(".")
+    for k in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:k]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[k:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+REFERENCING_DOCS = sorted(
+    ["README.md", "EXPERIMENTS.md", "DESIGN.md"]
+    + [f"docs/{p.name}" for p in (ROOT / "docs").glob("*.md")]
+)
 
 
 class TestDesignReferences:
-    @pytest.mark.parametrize("doc", ["DESIGN.md", "docs/THEORY.md"])
+    @pytest.mark.parametrize("doc", REFERENCING_DOCS)
     def test_referenced_modules_importable(self, doc):
         text = (ROOT / doc).read_text()
-        missing = []
-        for ref in sorted(_referenced_modules(text)):
-            # Strip trailing attribute-like components until importable
-            # (docs may reference repro.pkg.module.Symbol).
-            parts = ref.split(".")
-            ok = False
-            for k in range(len(parts), 1, -1):
-                try:
-                    importlib.import_module(".".join(parts[:k]))
-                    ok = True
-                    break
-                except ModuleNotFoundError:
-                    continue
-            if not ok:
-                missing.append(ref)
-        assert not missing, f"{doc} references unknown modules: {missing}"
+        missing = [ref for ref in sorted(_referenced_names(text)) if not _resolves(ref)]
+        assert not missing, f"{doc} references unknown names: {missing}"
 
     def test_design_lists_all_experiments(self):
         text = (ROOT / "DESIGN.md").read_text()

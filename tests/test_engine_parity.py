@@ -298,28 +298,6 @@ def test_adaptive_rule_rejected_with_sequential_reason():
     assert not matrix["vectorized"][0]
 
 
-@pytest.mark.statistical
-def test_vectorized_coalescence_matches_scalar_coupling_distribution():
-    from repro.coupling.grand import (
-        coalescence_time_spec,
-        coalescence_times,
-        coalescence_times_vectorized,
-    )
-
-    spec = SPECS["scenario_a"]
-    v0 = LoadVector.all_in_one(8, 8)
-    u0 = LoadVector.balanced(8, 8)
-    scalar_times = coalescence_times(
-        coalescence_time_spec, 80, spec, v0, u0, max_steps=50_000, seed=21
-    ).astype(np.float64)
-    vec_times = coalescence_times_vectorized(
-        spec, v0, u0, 80, max_steps=50_000, seed=22
-    ).astype(np.float64)
-    assert (scalar_times > 0).all() and (vec_times > 0).all()
-    stat, pvalue = ks_2samp(scalar_times, vec_times)
-    assert pvalue > 0.01, f"coalescence-time KS stat={stat:.3f}, p={pvalue:.4f}"
-
-
 def test_grand_coupling_spec_handles_relocation_and_open():
     from repro.coupling.grand import coalescence_time_spec
 
@@ -464,6 +442,24 @@ def test_exact_synchronous_row_matches_independent_enumeration(v, seed):
         assert prob == pytest.approx(law.get(state, 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("name, rows", [
+    ("rbb_twochoice", [[1 / 4, 3 / 4], [5 / 8, 3 / 8]]),
+    ("rbb_uniform", [[1 / 2, 1 / 2], [1 / 2, 1 / 2]]),
+])
+def test_rbb_exact_rows_pin_the_positional_tie_break(name, rows):
+    """ABKU[2] re-placement breaks ties by normalized position.
+
+    From (1, 1) both released balls see w = (0, 0) and each takes the
+    larger of two uniform positions, index 1 with probability 3/4, so
+    they share a bin with probability (1/4)² + (3/4)² = 5/8; a uniform
+    tie-break would give 1/2, as rbb_uniform does.  docs/RBB.md states
+    the rule.
+    """
+    chain = ExactEngine.kernel(SPECS[name], 2, 2)
+    assert list(chain.states) == [(2, 0), (1, 1)]
+    assert np.allclose(chain.P, rows, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", RBB_VEC_NAMES)
 def test_rbb_vectorized_state_roundtrip_is_bitwise(name):
     """A fleet restored from ``state_dict`` replays the exact trajectory:
@@ -578,18 +574,13 @@ def test_rbb_walk_rejected_by_vectorized_with_sequential_reason():
 
 
 def test_grand_coupling_rejects_synchronous_specs():
-    from repro.coupling.grand import (
-        coalescence_time_spec,
-        coalescence_times_vectorized,
-    )
+    from repro.coupling.grand import coalescence_time_spec
 
     spec = SPECS["rbb_uniform"]
     v0 = LoadVector.all_in_one(4, 4)
     u0 = LoadVector.balanced(4, 4)
     with pytest.raises(ValueError, match="synchronous"):
         coalescence_time_spec(spec, v0, u0, max_steps=10, seed=0)
-    with pytest.raises(ValueError, match="synchronous"):
-        coalescence_times_vectorized(spec, v0, u0, 4, max_steps=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -981,12 +972,11 @@ def test_campaign_imports_skip_scipy_and_networkx(tmp_path):
             assert len(res["times"]) == 4 and heavy() == [], (kw, heavy())
 
         from repro.edgeorient import EdgeOrientationMetric
-        from repro.fluid import solve_static_fluid
-        from repro.markov import FiniteMarkovChain, is_irreducible, wasserstein_distance
+        from repro.fluid import solve_dynamic_fluid
+        from repro.markov import FiniteMarkovChain, is_irreducible
 
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert wasserstein_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]), flip) == 1.0
         assert is_irreducible(FiniteMarkovChain([0, 1], flip))
-        assert 0.0 < solve_static_fluid(2, 1.0).tail(1) < 1.0
+        assert 0.0 < solve_dynamic_fluid(2, 1.0, t_final=1.0).s_final[1] < 1.0
         EdgeOrientationMetric(4).check_gamma_distances()
     """)

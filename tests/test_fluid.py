@@ -9,59 +9,6 @@ from repro.fluid.equilibrium import (
     fixed_point,
     predicted_max_load_from_tail,
 )
-from repro.fluid.static_ode import solve_static_fluid
-
-
-class TestStaticFluid:
-    def test_tail_monotone_and_bounded(self):
-        sol = solve_static_fluid(2, 1.0)
-        assert sol.s[0] == 1.0
-        assert (np.diff(sol.s) <= 1e-12).all()
-        assert (sol.s >= 0).all() and (sol.s <= 1).all()
-
-    def test_mass_equals_c(self):
-        # sum_{i>=1} s_i = average load = c.
-        for c in (0.5, 1.0, 2.0):
-            sol = solve_static_fluid(2, c)
-            assert sol.s[1:].sum() == pytest.approx(c, abs=1e-6)
-
-    def test_d1_tail_is_poisson(self):
-        """d = 1 fluid limit is the Poisson(c) tail."""
-        from scipy.stats import poisson
-
-        sol = solve_static_fluid(1, 1.0)
-        for i in range(6):
-            assert sol.tail(i) == pytest.approx(
-                1 - poisson.cdf(i - 1, 1.0), abs=1e-6
-            )
-
-    def test_d2_doubly_exponential_decay(self):
-        sol = solve_static_fluid(2, 1.0)
-        # s_{i+1} ≈ s_i^2 up to prefactors: the log-log slope should be
-        # clearly super-linear (doubly exponential), settling toward 2.
-        for i in (2, 3, 4):
-            ratio = np.log(sol.tail(i + 1)) / np.log(sol.tail(i))
-            assert 1.7 < ratio < 3.5
-
-    def test_predicted_max_load_monotone_in_n(self):
-        sol = solve_static_fluid(2, 1.0)
-        assert sol.predicted_max_load(10**6) >= sol.predicted_max_load(100)
-
-    def test_load_fractions_sum_to_one(self):
-        sol = solve_static_fluid(3, 1.0)
-        assert sol.load_fractions().sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solve_static_fluid(0, 1.0)
-        with pytest.raises(ValueError):
-            solve_static_fluid(2, -1.0)
-
-    def test_tail_beyond_truncation_zero(self):
-        sol = solve_static_fluid(2, 1.0, levels=10)
-        assert sol.tail(100) == 0.0
-        with pytest.raises(ValueError):
-            sol.tail(-1)
 
 
 class TestDynamicFluid:

@@ -6,27 +6,23 @@ in one parametrized file so a new stochastic API without the ``seed``
 convention fails loudly here.
 """
 
-import numpy as np
 import pytest
 
 from repro.balls.custom_removal import CustomRemovalProcess, weight_power
 from repro.balls.load_vector import LoadVector
-from repro.balls.open_system import OpenSystemProcess
 from repro.balls.relocation import RelocationProcess
 from repro.balls.rules import ABKURule
 from repro.balls.scenario_a import ScenarioAProcess
 from repro.balls.scenario_b import ScenarioBProcess
 from repro.balls.static import static_allocate
-from repro.balls.weighted import WeightedScenarioAProcess
 from repro.coupling.grand import (
     coalescence_time_a,
     coalescence_time_b,
     coalescence_time_edge,
 )
-from repro.edgeorient.batch import BatchEdgeProcess
 from repro.edgeorient.carpool import CarpoolSimulator
 from repro.edgeorient.greedy import EdgeOrientationProcess
-from repro.engine import VectorizedEngine, scenario_a_spec
+from repro.engine import ScalarEngine, VectorizedEngine, open_spec, scenario_a_spec
 
 _RULE = ABKURule(2)
 
@@ -50,7 +46,7 @@ _ENTRY_POINTS = {
         lambda p: p.state.as_tuple(),
     ),
     "open_system": (
-        _run_process(lambda s: OpenSystemProcess(_RULE, LoadVector.balanced(8, 8), seed=s)),
+        _run_process(lambda s: ScalarEngine.make(open_spec(_RULE), LoadVector.balanced(8, 8), seed=s)),
         lambda p: p.state.as_tuple(),
     ),
     "relocation": (
@@ -60,10 +56,6 @@ _ENTRY_POINTS = {
     "custom_removal": (
         _run_process(lambda s: CustomRemovalProcess(_RULE, weight_power(2.0), LoadVector.all_in_one(20, 8), seed=s)),
         lambda p: p.state.as_tuple(),
-    ),
-    "weighted": (
-        _run_process(lambda s: WeightedScenarioAProcess.crashed(20, 8, seed=s)),
-        lambda p: tuple(np.round(p.loads, 9)),
     ),
     "edge": (
         _run_process(lambda s: EdgeOrientationProcess(12, seed=s)),
@@ -76,10 +68,6 @@ _ENTRY_POINTS = {
     "batch_balls": (
         _run_process(lambda s: VectorizedEngine.make(scenario_a_spec(_RULE), LoadVector.balanced(16, 8), 3, seed=s)),
         lambda p: tuple(map(tuple, p.loads.tolist())),
-    ),
-    "batch_edge": (
-        _run_process(lambda s: BatchEdgeProcess([0] * 10, 3, seed=s)),
-        lambda p: tuple(map(tuple, p.discrepancies.tolist())),
     ),
     "static": (
         lambda seed: static_allocate(_RULE, 40, 10, seed=seed),

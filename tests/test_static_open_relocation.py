@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.balls.load_vector import LoadVector
-from repro.balls.open_system import OpenSystemProcess, coupled_open_coalescence
+from repro.balls.open_system import coupled_open_coalescence
 from repro.balls.relocation import RelocationProcess
 from repro.balls.rules import ABKURule, UniformRule
 from repro.balls.static import (
@@ -66,9 +66,15 @@ class TestStatic:
             predicted_static_max_load(2, 2)
 
 
+def _open(rule, state, *, removal="ball", max_balls=None, seed=None):
+    """The §7 open process on the scalar engine."""
+    spec = open_spec(rule, removal=removal, max_balls=max_balls)
+    return ScalarEngine.make(spec, state, seed=seed)
+
+
 class TestOpenSystem:
     def test_ball_count_varies(self, abku2):
-        p = OpenSystemProcess(abku2, LoadVector.balanced(10, 5), seed=0)
+        p = _open(abku2, LoadVector.balanced(10, 5), seed=0)
         counts = set()
         for _ in range(200):
             p.step()
@@ -76,33 +82,32 @@ class TestOpenSystem:
         assert len(counts) > 1
 
     def test_empty_removal_is_noop(self, abku2):
-        p = OpenSystemProcess(abku2, LoadVector.empty(4), seed=1)
+        p = _open(abku2, LoadVector.empty(4), seed=1)
         p._remove(0.5)
         assert p.m == 0
 
     def test_max_balls_cap(self, abku2):
-        p = OpenSystemProcess(abku2, LoadVector.empty(4), max_balls=3, seed=2)
+        p = _open(abku2, LoadVector.empty(4), max_balls=3, seed=2)
         p.run(500)
         assert p.m <= 3
 
     def test_invalid_removal_kind(self, abku2):
         with pytest.raises(ValueError, match="removal"):
-            OpenSystemProcess(abku2, LoadVector.empty(2), removal="nope")
+            _open(abku2, LoadVector.empty(2), removal="nope")
 
     def test_bin_removal_mode(self, abku2):
-        p = OpenSystemProcess(abku2, LoadVector.balanced(8, 4), removal="bin", seed=3)
+        p = _open(abku2, LoadVector.balanced(8, 4), removal="bin", seed=3)
         p.run(300)
         assert p.m >= 0
 
     def test_determinism(self, abku2):
-        a = OpenSystemProcess(abku2, LoadVector.empty(5), seed=9).run(200)
-        b = OpenSystemProcess(abku2, LoadVector.empty(5), seed=9).run(200)
+        a = _open(abku2, LoadVector.empty(5), seed=9).run(200)
+        b = _open(abku2, LoadVector.empty(5), seed=9).run(200)
         assert a.state == b.state
 
     def test_repr(self, abku2):
-        assert "OpenSystemProcess" in repr(
-            OpenSystemProcess(abku2, LoadVector.empty(3))
-        )
+        text = repr(_open(abku2, LoadVector.empty(3), removal="bin"))
+        assert "OpenSpecProcess" in text and "'open_bin'" in text
 
     @pytest.mark.parametrize("max_balls", [None, 24])
     @pytest.mark.parametrize("removal", ["ball", "bin"])
@@ -116,7 +121,6 @@ class TestOpenSystem:
         it from the ball count the run has drifted to.
         """
         from repro import obs
-        from repro.engine import ScalarEngine, open_spec
         from repro.obs.probes import recovery_target
 
         spec = open_spec(abku2, removal=removal, max_balls=max_balls)

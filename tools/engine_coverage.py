@@ -22,7 +22,8 @@ Usage::
     python tools/engine_coverage.py --fail-under 80 [pytest args...]
 
 Default pytest selection: the engine-facing test modules (parity,
-fuzz, edge-batch, scenario processes).  Anything after ``--`` is
+fuzz, scenario processes, seed discipline, probes, removal laws, open
+systems and relocation).  Anything after ``--`` is
 passed to pytest verbatim instead.
 """
 
@@ -38,7 +39,6 @@ ENGINE_DIR = os.path.join(REPO_ROOT, "src", "repro", "engine")
 DEFAULT_TESTS = [
     "tests/test_engine_parity.py",
     "tests/test_engine_fuzz.py",
-    "tests/test_edge_batch.py",
     "tests/test_scenario_processes.py",
     "tests/test_seed_discipline.py",
     "tests/test_probes.py",
