@@ -141,6 +141,9 @@ class _Sink:
     def record_monitor(self, event, *, worker=None):
         pass
 
+    def record_batch(self, worker, records):
+        pass
+
     def record_heartbeat(self, worker, payload):
         pass
 
@@ -149,6 +152,8 @@ class _Sink:
 
 
 BUS_POINTS = 256
+#: A drain that drops a batch must fail the bench, not hang it.
+BUS_DEADLINE_S = 10.0
 
 
 def test_bench_bus_throughput(benchmark):
@@ -164,7 +169,14 @@ def test_bench_bus_throughput(benchmark):
         target = bus.points_received + BUS_POINTS
         for i in range(BUS_POINTS):
             sender.record_point("bench/bus", i, {"value": 1.0})
+        sender.flush()  # the tail a lane ships at its item's end
+        deadline = time.monotonic() + BUS_DEADLINE_S
         while bus.points_received < target:
+            if time.monotonic() > deadline:
+                raise AssertionError(
+                    f"bus drained {bus.points_received} of {target} points "
+                    f"within {BUS_DEADLINE_S} s"
+                )
             time.sleep(0.0002)
 
     try:

@@ -109,6 +109,7 @@ def campaign_config(
         )
     n = check_positive_int("n", n)
     m = n if m is None else check_positive_int("m", m)
+    d = check_positive_int("d", d)
     replicas = check_positive_int("replicas", replicas)
     if processes is not None:
         processes = check_positive_int("processes", processes)

@@ -13,42 +13,51 @@ The bus closes that gap with stdlib ``multiprocessing`` only:
   ``repro.obs.runtime.set_recorder`` inside a worker, it receives the
   engines' decimated probe points and recovery-monitor events through
   the exact same :func:`~repro.obs.runtime.record_point` /
-  :func:`~repro.obs.runtime.record_monitor` hooks a local run uses,
-  and ships them over a ``multiprocessing.Queue`` tagged with the
-  worker's shard index.  With no queue (the inline ``processes=1``
-  path) it forwards straight into the parent recorder — both paths
-  produce the same artifact, one lane per shard.
+  :func:`~repro.obs.runtime.record_monitor` hooks a local run uses.
+  A queue lane buffers them in emission order and ships them as one
+  ``batch`` message, tagged with the worker's shard index, when an
+  item ends (before the shard commits that item's checkpoint), when
+  the lane says ``bye``, and whenever :data:`BATCH_RECORDS` records
+  are waiting — so a long item still streams.  With no queue (the
+  inline ``processes=1`` path) it forwards each record straight into
+  the parent recorder — both paths produce the same artifact, one
+  lane per shard.
 * :class:`HeartbeatThread` — a daemon thread per shard posting
-  periodic heartbeats (worker id, items done, RSS, points shipped) so
+  periodic heartbeats (worker id, items done, RSS, points emitted) so
   the parent — and ``repro obs watch`` — can flag stalled workers.
   Heartbeats carry wall-clock state and therefore land in a separate
   ``heartbeats.jsonl`` stream, never in the deterministic
   ``timeseries.jsonl``.
 * :class:`TelemetryBus` — the parent side.  A drain thread multiplexes
-  incoming messages into the active :class:`~repro.obs.recorder.RunRecorder`
-  *as they arrive* (live watchability); at shutdown it accounts for
-  per-shard ``bye`` markers and reports the shards that never said
-  goodbye so the caller can record ``worker_lost`` monitor events.
+  incoming batches into the active :class:`~repro.obs.recorder.RunRecorder`
+  *as they arrive* (live watchability); at shutdown it waits for the
+  per-shard ``bye`` markers, stops the drain thread with a sentinel,
+  and reports the shards that never said goodbye so the caller can
+  record ``worker_lost`` monitor events.
 
 Determinism: each worker's messages traverse the queue in emission
-order (per-producer FIFO), and the recorder canonicalizes the finished
+order (per-producer FIFO), a batch keeps its records in emission
+order, and the recorder canonicalizes the finished
 ``timeseries.jsonl`` by stable-sorting on the worker tag — so a
 finished parallel artifact is a byte-identical function of the seed,
 even though live arrival order is not.
 
 Wire format (queue messages are plain tuples, cheap to pickle)::
 
-    ("point",     worker, series, step, stats)
-    ("monitor",   worker, event_dict)
+    ("batch",     worker, [("point", series, step, stats)
+                           | ("monitor", event_dict), ...])
     ("heartbeat", worker, payload_dict)
     ("bye",       worker)
+
+Points therefore reach the parent a batch at a time, not as they are
+emitted; a heartbeat's ``points`` counts the points the lane has
+emitted so far, shipped or still buffered.  The parent ends its drain
+thread by putting ``None`` behind every worker message.
 """
 
 from __future__ import annotations
 
-import queue as _queue_mod
 import threading
-import time
 from typing import Any
 
 __all__ = [
@@ -64,6 +73,10 @@ DEFAULT_HEARTBEAT_S = 0.5
 #: How long the parent waits after the pool finishes for stragglers'
 #: queued messages (and their ``bye`` markers) to arrive.
 DRAIN_GRACE_S = 5.0
+
+#: Records a queue lane buffers before it ships them without waiting
+#: for the item to end, so ``repro obs watch`` sees long items move.
+BATCH_RECORDS = 256
 
 
 def _read_rss_kb() -> float:
@@ -85,10 +98,14 @@ class BusSender:
     awareness at all.  Span events and checkpoint samples are dropped —
     workers must not write to the parent's ``events.jsonl`` descriptor,
     and their metrics already ride home with the result snapshot.
+
+    A queue lane buffers its records until :meth:`flush` (the fleet
+    runner calls it at every item's end), :meth:`bye`, or
+    :data:`BATCH_RECORDS` records; a recorder lane forwards each one.
     """
 
-    __slots__ = ("worker", "_queue", "_recorder", "points_sent", "items_done",
-                 "items_total", "records_sent", "monitors_sent")
+    __slots__ = ("worker", "_queue", "_recorder", "_batch", "points_sent",
+                 "items_done", "items_total", "records_sent", "monitors_sent")
 
     def __init__(self, worker: int, *, queue: Any = None, recorder: Any = None):
         if (queue is None) == (recorder is None):
@@ -96,12 +113,15 @@ class BusSender:
         self.worker = int(worker)
         self._queue = queue
         self._recorder = recorder
+        self._batch: list[tuple] = []
         self.points_sent = 0
         self.items_done = 0
         self.items_total = 0
         #: Lane stream cursors for shard checkpoints: total records
-        #: shipped to the timeseries stream (points + monitors, lane
-        #: FIFO order) and monitor events shipped to the event stream.
+        #: bound for the timeseries stream (points + monitors, lane
+        #: FIFO order) and monitor events bound for the event stream.
+        #: A shard commit reads them right after a flush, when every
+        #: counted record is on the bus.
         self.records_sent = 0
         self.monitors_sent = 0
 
@@ -112,7 +132,7 @@ class BusSender:
         self.points_sent += 1
         self.records_sent += 1
         if self._queue is not None:
-            self._queue.put(("point", self.worker, series, int(step), stats))
+            self._buffer(("point", series, int(step), stats))
         else:
             self._recorder.record_point(series, step, stats, worker=self.worker)
 
@@ -121,9 +141,14 @@ class BusSender:
         self.records_sent += 1
         self.monitors_sent += 1
         if self._queue is not None:
-            self._queue.put(("monitor", self.worker, dict(event)))
+            self._buffer(("monitor", dict(event)))
         else:
             self._recorder.record_monitor(event, worker=self.worker)
+
+    def _buffer(self, record: tuple) -> None:
+        self._batch.append(record)
+        if len(self._batch) >= BATCH_RECORDS:
+            self.flush()
 
     def record(self, series: str, step: int, value: float) -> None:
         """Checkpoint samples stay local to the worker (dropped)."""
@@ -132,7 +157,10 @@ class BusSender:
         """Raw events (spans, profiles) stay local to the worker (dropped)."""
 
     def flush(self) -> None:
-        """Nothing buffered sender-side; the queue feeder owns delivery."""
+        """Ship the buffered records as one ``batch`` message (if any)."""
+        if self._batch:
+            batch, self._batch = self._batch, []
+            self._queue.put(("batch", self.worker, batch))
 
     # -- liveness -------------------------------------------------------------
 
@@ -152,6 +180,7 @@ class BusSender:
     def bye(self) -> None:
         """Mark this shard done (per-producer FIFO ⇒ after all its points)."""
         if self._queue is not None:
+            self.flush()
             self._queue.put(("bye", self.worker))
         else:
             self._recorder.record_bye(self.worker)
@@ -220,7 +249,7 @@ class TelemetryBus:
         self.queue = ctx.Queue()
         self.points_received = 0
         self.byes: set[int] = set()
-        self._stop = threading.Event()
+        self._bye_seen = threading.Condition()
         self._thread = threading.Thread(
             target=self._drain_loop, name="repro-bus-drain", daemon=True
         )
@@ -229,46 +258,33 @@ class TelemetryBus:
 
     def _handle(self, msg: tuple) -> None:
         kind = msg[0]
-        if kind == "point":
-            _, worker, series, step, stats = msg
-            self.points_received += 1
-            self.recorder.record_point(series, step, stats, worker=worker)
-        elif kind == "monitor":
-            _, worker, event = msg
-            self.recorder.record_monitor(event, worker=worker)
+        if kind == "batch":
+            _, worker, records = msg
+            self.points_received += sum(r[0] == "point" for r in records)
+            self.recorder.record_batch(worker, records)
         elif kind == "heartbeat":
             _, worker, payload = msg
             self.recorder.record_heartbeat(worker, payload)
         elif kind == "bye":
             _, worker = msg
-            self.byes.add(int(worker))
             self.recorder.record_bye(worker)
+            with self._bye_seen:
+                self.byes.add(int(worker))
+                self._bye_seen.notify_all()
         # Unknown kinds are ignored: a newer worker build must not be
         # able to crash the parent's drain thread.
 
     def _drain_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
-                msg = self.queue.get(timeout=0.05)
-            except _queue_mod.Empty:
-                continue
+                msg = self.queue.get()
             except (EOFError, OSError):  # pragma: no cover - queue torn down
+                return
+            if msg is None:  # finish()'s sentinel: nothing is queued behind it
                 return
             try:
                 self._handle(msg)
             except Exception:  # pragma: no cover - recorder closed mid-run
-                pass
-
-    def _drain_now(self) -> None:
-        """Swallow whatever is already queued (caller: drain thread stopped)."""
-        while True:
-            try:
-                msg = self.queue.get_nowait()
-            except (_queue_mod.Empty, EOFError, OSError):
-                return
-            try:
-                self._handle(msg)
-            except Exception:  # pragma: no cover
                 pass
 
     # -- lifecycle -------------------------------------------------------------
@@ -280,19 +296,24 @@ class TelemetryBus:
     def finish(self, expected: set[int], *, grace_s: float = DRAIN_GRACE_S) -> set[int]:
         """Stop draining; returns the shards that never sent ``bye``.
 
-        Waits up to *grace_s* for stragglers' queued messages — a worker
-        that exited normally flushed its queue feeder before dying, so
-        its ``bye`` is already in flight; a killed worker's silence is
-        what the caller turns into a ``worker_lost`` event.
+        Waits up to *grace_s* for the *expected* shards' ``bye`` markers
+        — a worker that exited normally flushed its queue feeder before
+        dying, so its ``bye`` is already in flight; a killed worker's
+        silence is what the caller turns into a ``worker_lost`` event.
+        Then puts the stop sentinel and joins the drain thread, which
+        handles every message queued ahead of the sentinel first.
         """
-        deadline = time.monotonic() + grace_s
-        while self.byes < expected and time.monotonic() < deadline:
-            time.sleep(0.02)
-        self._stop.set()
+        expected = set(expected)
+        with self._bye_seen:
+            self._bye_seen.wait_for(lambda: expected <= self.byes,
+                                    timeout=grace_s)
+        self.queue.put(None)
         self._thread.join(timeout=2.0)
-        self._drain_now()
+        # A worker killed while writing can wedge the pipe: the sentinel
+        # left undelivered must not make interpreter exit wait for it.
+        self.queue.cancel_join_thread()
         self.queue.close()
-        return set(expected) - self.byes
+        return expected - self.byes
 
 
 def worker_telemetry(

@@ -63,6 +63,13 @@ MAX_SAMPLES_PER_SERIES = 4096
 #: real runs far below this; the cap bounds misconfigured ones).
 MAX_POINTS_PER_SERIES = 16384
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _line(obj: dict) -> str:
+    """One compact JSONL line (the bytes every stream writes)."""
+    return _ENCODE(obj) + "\n"
+
 
 def git_revision(start_dir: str | None = None) -> str | None:
     """Best-effort git HEAD revision, reading ``.git`` directly (no subprocess).
@@ -102,6 +109,11 @@ def git_revision(start_dir: str | None = None) -> str | None:
     return None
 
 
+def _points_key(series: str, lane: int) -> str:
+    """The per-lane point-cap key (``meta.json``'s ``timeseries`` map)."""
+    return series if lane < 0 else f"{series}#w{lane}"
+
+
 class RunRecorder:
     """Streams run events to ``<run_dir>/events.jsonl`` and keeps them in memory."""
 
@@ -124,9 +136,10 @@ class RunRecorder:
         self._started_perf = time.perf_counter()
         self._ts_file: Any = None  # lazily opened on the first point
         self._ts_header: dict | None = None
-        #: Every timeseries record with its lane key (-1 = the parent),
-        #: kept so :meth:`finish` can canonicalize a multi-lane stream.
-        self._ts_records: list[tuple[int, dict]] = []
+        #: Every timeseries line (encoded once, newline included) with
+        #: its lane key (-1 = the parent), kept so :meth:`finish` can
+        #: canonicalize a multi-lane stream without re-encoding it.
+        self._ts_records: list[tuple[int, str]] = []
         self._hb_file: Any = None  # lazily opened on the first heartbeat
         self._hb_append = False
         #: Forces an events.jsonl rewrite at finish (set by lane
@@ -216,14 +229,13 @@ class RunRecorder:
                 steps.append(int(event["step"]))
                 values.append(float(event["value"]))
         self._file = open(events_path, "w")
-        for event in kept:
-            self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._file.writelines(_line(event) for event in kept)
         self._file.flush()
         # -- timeseries.jsonl --------------------------------------------------
         ts_path = os.path.join(self.run_dir, TIMESERIES_FILE)
         lane_quota = keep.get("lanes")
         if os.path.exists(ts_path):
-            records: list[tuple[int, dict]] = []
+            records: list[tuple[int, str]] = []
             lane_seen: dict[int, int] = {}
             with open(ts_path) as f:
                 for line in f:
@@ -248,17 +260,11 @@ class RunRecorder:
                         lane_quota.get(lane, lane_quota.get(str(lane), 0))
                     ):
                         continue
-                    records.append((lane, record))
+                    records.append((lane, _line(record)))
+                    if record.get("type") == "point":
+                        key = _points_key(record["series"], lane)
+                        self.points[key] = self.points.get(key, 0) + 1
             self._ts_records = records
-            for lane, record in records:
-                if record.get("type") != "point":
-                    continue
-                key = (
-                    record["series"]
-                    if lane < 0
-                    else f"{record['series']}#w{lane}"
-                )
-                self.points[key] = self.points.get(key, 0) + 1
             if self._ts_header is None and not records:
                 # Nothing parseable survived (killed before the header
                 # landed): start the stream from scratch, lazily, so
@@ -272,13 +278,8 @@ class RunRecorder:
                         "probe_every": runtime.probe_interval(),
                     }
                 self._ts_file = open(ts_path, "w")
-                self._ts_file.write(
-                    json.dumps(self._ts_header, separators=(",", ":")) + "\n"
-                )
-                for _, record in self._ts_records:
-                    self._ts_file.write(
-                        json.dumps(record, separators=(",", ":")) + "\n"
-                    )
+                self._ts_file.write(_line(self._ts_header))
+                self._ts_file.writelines(line for _, line in records)
                 self._ts_file.flush()
         self._hb_append = True
 
@@ -354,21 +355,70 @@ class RunRecorder:
             if self._closed:
                 return
             self.events.append(event)
-            self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
+            self._file.write(_line(event))
             self._file.flush()
 
-    def _ts_write(self, record: dict, *, worker: int | None = None) -> None:
-        """Append one line to ``timeseries.jsonl`` (caller holds the lock)."""
+    def _ts_stream(self) -> Any:
+        """``timeseries.jsonl``, opened with its header on first use."""
         if self._ts_file is None:
             self._ts_file = open(os.path.join(self.run_dir, TIMESERIES_FILE), "w")
             self._ts_header = {"type": "header", "schema": TIMESERIES_SCHEMA,
                                "probe_every": runtime.probe_interval()}
-            self._ts_file.write(
-                json.dumps(self._ts_header, separators=(",", ":")) + "\n"
-            )
-        self._ts_records.append((-1 if worker is None else int(worker), record))
-        self._ts_file.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._ts_file.flush()
+            self._ts_file.write(_line(self._ts_header))
+        return self._ts_file
+
+    def _admit_point(self, key: str) -> bool:
+        """Count one point against its lane cap (caller holds the lock)."""
+        count = self.points.get(key, 0)
+        if count >= MAX_POINTS_PER_SERIES:
+            key = f"timeseries/{key}"
+            self.dropped[key] = self.dropped.get(key, 0) + 1
+            return False
+        self.points[key] = count + 1
+        return True
+
+    def record_batch(self, worker: int, records: list) -> None:
+        """Record one lane's records, in emission order (thread-safe).
+
+        *records* are the :mod:`repro.obs.bus` batch tuples,
+        ``("point", series, step, stats)`` and ``("monitor", event)``;
+        *worker* is the fleet lane (-1 = the parent, whose lines carry
+        no ``worker`` tag).  Each record is encoded once, and each
+        stream is written and flushed once per call — once per line for
+        the one-record calls of :meth:`record_point` /
+        :meth:`record_monitor`.
+        """
+        lane = int(worker)
+        ts_lines: list[str] = []
+        event_lines: list[str] = []
+        with self._write_lock:
+            if self._closed:
+                return
+            for kind, *body in records:
+                if kind == "point":
+                    series, step, stats = body
+                    if not self._admit_point(_points_key(series, lane)):
+                        continue
+                    record = {"type": "point", "series": series,
+                              "step": int(step), "stats": stats}
+                else:
+                    record = {**body[0], "type": "monitor"}
+                if lane >= 0:
+                    record["worker"] = lane
+                line = _line(record)
+                if kind != "point":
+                    self.monitors.append(record)
+                    self.events.append(record)
+                    event_lines.append(line)
+                self._ts_records.append((lane, line))
+                ts_lines.append(line)
+            if event_lines:
+                self._file.writelines(event_lines)
+                self._file.flush()
+            if ts_lines:
+                f = self._ts_stream()
+                f.writelines(ts_lines)
+                f.flush()
 
     def record_point(
         self, series: str, step: int, stats: dict, *, worker: int | None = None
@@ -379,33 +429,13 @@ class RunRecorder:
         telemetry-bus message came from); the per-series point cap is
         keyed per lane so one chatty shard cannot starve the others.
         """
-        lane = series if worker is None else f"{series}#w{int(worker)}"
-        with self._write_lock:
-            if self._closed:
-                return
-            count = self.points.get(lane, 0)
-            if count >= MAX_POINTS_PER_SERIES:
-                key = f"timeseries/{lane}"
-                self.dropped[key] = self.dropped.get(key, 0) + 1
-                return
-            self.points[lane] = count + 1
-            record = {"type": "point", "series": series, "step": int(step),
-                      "stats": stats}
-            if worker is not None:
-                record["worker"] = int(worker)
-            self._ts_write(record, worker=worker)
+        lane = -1 if worker is None else worker
+        self.record_batch(lane, [("point", series, step, stats)])
 
     def record_monitor(self, event: dict, *, worker: int | None = None) -> None:
         """Record one recovery-monitor event (both streams; thread-safe)."""
-        event = {**event, "type": "monitor"}
-        if worker is not None:
-            event["worker"] = int(worker)
-        self.monitors.append(event)
-        self.emit(event)
-        with self._write_lock:
-            if self._closed:
-                return
-            self._ts_write(event, worker=worker)
+        lane = -1 if worker is None else worker
+        self.record_batch(lane, [("monitor", event)])
 
     def record_heartbeat(self, worker: int, payload: dict) -> None:
         """Record one worker liveness sample into ``heartbeats.jsonl``.
@@ -439,10 +469,8 @@ class RunRecorder:
                 self._hb_file = open(path, "a" if append else "w")
                 if not append:
                     header = {"type": "header", "schema": HEARTBEAT_SCHEMA}
-                    self._hb_file.write(
-                        json.dumps(header, separators=(",", ":")) + "\n"
-                    )
-            self._hb_file.write(json.dumps(record, separators=(",", ":")) + "\n")
+                    self._hb_file.write(_line(header))
+            self._hb_file.write(_line(record))
             self._hb_file.flush()
 
     def record(self, series: str, step: int, value: float) -> None:
@@ -498,26 +526,20 @@ class RunRecorder:
         """
         lane = int(worker)
         with self._write_lock:
-            kept_ts: list[tuple[int, dict]] = []
-            count = 0
-            for w, record in self._ts_records:
-                if w != lane:
-                    kept_ts.append((w, record))
-                    continue
-                if record.get("monitor") == "worker_lost":
-                    continue
-                if count < records:
-                    kept_ts.append((w, record))
-                    count += 1
-            self._ts_records = kept_ts
+            kept_ts: list[tuple[int, str]] = []
             points: dict[str, int] = {}
-            for w, record in kept_ts:
-                if record.get("type") != "point":
-                    continue
-                key = (
-                    record["series"] if w < 0 else f"{record['series']}#w{w}"
-                )
-                points[key] = points.get(key, 0) + 1
+            count = 0
+            for w, line in self._ts_records:
+                record = json.loads(line)
+                if w == lane:
+                    if record.get("monitor") == "worker_lost" or count >= records:
+                        continue
+                    count += 1
+                kept_ts.append((w, line))
+                if record.get("type") == "point":
+                    key = _points_key(record["series"], w)
+                    points[key] = points.get(key, 0) + 1
+            self._ts_records = kept_ts
             self.points = points
             kept_events: list[dict] = []
             mcount = 0
@@ -557,9 +579,8 @@ class RunRecorder:
         ordered = sorted(self._ts_records, key=lambda pair: pair[0])
         path = os.path.join(self.run_dir, TIMESERIES_FILE)
         with open(path, "w") as f:
-            f.write(json.dumps(self._ts_header, separators=(",", ":")) + "\n")
-            for _, record in ordered:
-                f.write(json.dumps(record, separators=(",", ":")) + "\n")
+            f.write(_line(self._ts_header))
+            f.writelines(line for _, line in ordered)
 
     def _canonicalize_events(self) -> None:
         """Rewrite ``events.jsonl`` in lane order (caller holds the lock).
@@ -579,8 +600,7 @@ class RunRecorder:
         )
         path = os.path.join(self.run_dir, "events.jsonl")
         with open(path, "w") as f:
-            for event in ordered:
-                f.write(json.dumps(event, separators=(",", ":")) + "\n")
+            f.writelines(_line(event) for event in ordered)
 
     def finish(self, *, status: str = "ok", metrics: dict | None = None) -> None:
         """Flush events and write ``meta.json`` (idempotent)."""

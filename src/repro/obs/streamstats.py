@@ -217,7 +217,8 @@ class ExpHistogram:
     Bucket 0 counts zeros; bucket j >= 1 counts values in
     [2^(j-1), 2^j).  Max-load phenomena live on a logarithmic scale
     (Θ(log n / log log n) typical bands, O(log n) recovery envelopes),
-    so ~64 buckets cover any int64 load exactly.
+    so 64 buckets cover any int64 load; :meth:`update` is exact below
+    2^53, far above any load a run reaches.
     """
 
     __slots__ = ("counts",)
@@ -243,11 +244,9 @@ class ExpHistogram:
             return
         if arr.min() < 0:
             raise ValueError("loads must be nonnegative")
-        # bit_length via log2: exact for int64 magnitudes (< 2^63).
-        j = np.zeros(arr.shape, dtype=np.int64)
-        pos = arr > 0
-        if pos.any():
-            j[pos] = np.floor(np.log2(arr[pos].astype(np.float64))).astype(np.int64) + 1
+        # bit_length is frexp's exponent (v = m·2^j, ½ ≤ m < 1; 0 ↦ 0),
+        # exact while the float64 conversion is, i.e. below 2^53.
+        _, j = np.frexp(arr)
         self.counts += np.bincount(j, minlength=self.NBUCKETS)
 
     @property

@@ -13,8 +13,9 @@ rendering one frame per refresh:
   (per-step cross-lane mean folded through the Chan/Welford merge in
   :mod:`repro.obs.streamstats`);
 * a worker panel over ``heartbeats.jsonl`` — last beat age, replica
-  progress, RSS, points shipped — flagging ``STALLED`` lanes whose
-  heartbeats stopped while the run is still live;
+  progress, RSS, points emitted (shipped or still buffered) — flagging
+  ``STALLED`` lanes whose heartbeats stopped while the run is still
+  live;
 * fired recovery-monitor events with their bound verdicts;
 * a throughput line — probe steps/s measured between refreshes, and an
   ETA when the run's metadata declares a step target

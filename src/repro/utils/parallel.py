@@ -20,6 +20,8 @@ When a :class:`~repro.obs.recorder.RunRecorder` is additionally
 installed (an ``observe_run`` campaign), each shard of items gets a
 telemetry lane over the fleet bus (:mod:`repro.obs.bus`): workers ship
 decimated probe points and monitor events to the parent *as they run*
+(in batches: at every item's end, and every
+:data:`~repro.obs.bus.BATCH_RECORDS` records within an item)
 — tagged ``worker=k`` by shard index, not OS pid, so lane assignment
 is deterministic — plus periodic heartbeats into the separate
 ``heartbeats.jsonl`` stream.  ``repro obs watch`` can therefore
@@ -76,10 +78,11 @@ def _run_shard(shard, fn, pairs, kwargs, capture, sender, heartbeat,
     """Run one shard's items; returns ``[(result, metrics_snapshot), ...]``.
 
     With *sender* installed as the active recorder, engine probe points
-    and monitor events emitted inside ``fn`` stream onto the bus (or
-    straight into the parent recorder on the inline path).  The shard
-    always says ``bye`` on the way out — also when an item raises — so
-    only a killed process leaves a silent lane.
+    and monitor events emitted inside ``fn`` stream onto the bus, in a
+    batch shipped at each item's end at the latest (or straight into
+    the parent recorder on the inline path).  The shard always says
+    ``bye`` on the way out — also when an item raises — so only a
+    killed process leaves a silent lane.
 
     With *fleet_ckpt* (a :class:`repro.checkpoint.manager.FleetCheckpoint`),
     the shard resumes at item granularity: completed ``(result,
@@ -127,6 +130,9 @@ def _run_shard(shard, fn, pairs, kwargs, capture, sender, heartbeat,
                 outs.append((fn(item, seed_seq, **kwargs), None))
             if sender is not None:
                 sender.items_done += 1
+                # Ship the item's batch before its shard commit, so a
+                # commit never covers records still in this process.
+                sender.flush()
             if fleet_ckpt is not None:
                 # Cumulative per-item stream cursors: a resume needs to
                 # know how much telemetry each *item* had shipped, so it

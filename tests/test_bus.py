@@ -12,9 +12,12 @@ track, and exits on terminal status.
 from __future__ import annotations
 
 import io
+import itertools
 import json
+import multiprocessing as mp
 import os
 import re
+import threading
 import time
 
 import numpy as np
@@ -26,8 +29,14 @@ from repro.analysis.recovery_measure import recovery_times_balls
 from repro.balls.rules import ABKURule
 from repro.experiments.base import shard_sizes
 from repro.experiments.campaign import run_campaign
-from repro.obs.bus import BusSender, HeartbeatThread, worker_telemetry
-from repro.obs.recorder import load_run, observe_run
+from repro.obs.bus import (
+    BATCH_RECORDS,
+    BusSender,
+    HeartbeatThread,
+    TelemetryBus,
+    worker_telemetry,
+)
+from repro.obs.recorder import RunRecorder, load_run, observe_run
 from repro.obs.timeseries import (
     latest_heartbeats,
     load_heartbeats,
@@ -35,7 +44,7 @@ from repro.obs.timeseries import (
     workers_of,
 )
 from repro.obs.watch import TERMINAL_STATUSES, render_frame, watch
-from repro.utils.parallel import parallel_replica_map
+from repro.utils.parallel import _run_shard, parallel_replica_map
 
 
 class _Recorder:
@@ -53,11 +62,41 @@ class _Recorder:
     def record_monitor(self, event, *, worker=None):
         self.monitors.append((event, worker))
 
+    def record_batch(self, worker, records):
+        for kind, *body in records:
+            if kind == "point":
+                self.record_point(*body, worker=worker)
+            else:
+                self.record_monitor(*body, worker=worker)
+
     def record_heartbeat(self, worker, payload):
         self.heartbeats.append((worker, payload))
 
     def record_bye(self, worker):
         self.byes.append(worker)
+
+
+class _QueueDouble:
+    """A bus queue that logs each message it is handed."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def put(self, msg):
+        self.log.append(msg)
+
+
+class _FleetDouble:
+    """A FleetCheckpoint that logs each shard commit into the same log."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def read(self, shard):
+        return None
+
+    def write(self, shard, payload):
+        self.log.append(("commit", shard, payload["records_sent"]))
 
 
 # -- module-level worker fns (must pickle) -----------------------------------
@@ -71,6 +110,15 @@ def _probed_item(item, seed_seq):
     if rec is not None:
         rec.record_point("test/series", int(item), {"value": float(item)})
     return int(item)
+
+
+def _emit_points(item, seed_seq):
+    """Emit *item* points (steps 0 .. item - 1) on the active recorder."""
+    from repro.obs import runtime
+
+    for step in range(item):
+        runtime.record_point("test/batch", step, {"value": float(step)})
+    return item
 
 
 def _die_on(item, seed_seq, *, victim):
@@ -107,6 +155,116 @@ def test_bus_sender_requires_exactly_one_sink():
         BusSender(0)
     with pytest.raises(ValueError):
         BusSender(0, recorder=_Recorder(), queue=object())
+
+
+@pytest.mark.parametrize("per_item", [
+    [0, 5, BATCH_RECORDS + 3, 2 * BATCH_RECORDS, 1],
+    [BATCH_RECORDS - 1, BATCH_RECORDS, BATCH_RECORDS + 1],
+    [],
+], ids=["mixed", "around-cap", "no-items"])
+def test_queue_lane_ships_batches_before_each_shard_commit(per_item):
+    log = []
+    sender = BusSender(2, queue=_QueueDouble(log))
+    pairs = [(k, None) for k in per_item]
+    outs = _run_shard(2, _emit_points, pairs, {}, False, sender, None,
+                      _FleetDouble(log))
+    assert [result for result, _ in outs] == per_item
+    messages = [m for m in log if m[0] != "commit"]
+    n_points = sum(per_item)
+    # Not one message per point: at most one per item, one per
+    # BATCH_RECORDS, and the bye.
+    assert len(messages) <= (
+        len(per_item) + -(-n_points // BATCH_RECORDS) + 1
+    )
+    assert messages[-1] == ("bye", 2)
+    assert all(m[0] == "batch" and m[1] == 2 and 0 < len(m[2]) <= BATCH_RECORDS
+               for m in messages[:-1])
+    # Every record of item i is on the bus before shard i's commit, and
+    # none of item i + 1's is.
+    put, commits = 0, []
+    for m in log:
+        if m[0] == "batch":
+            put += len(m[2])
+        elif m[0] == "commit":
+            commits.append((put, m[2]))
+    assert commits == [(c, c) for c in itertools.accumulate(per_item)]
+    # A batch keeps emission order.
+    assert [r[2] for m in messages[:-1] for r in m[2]] == [
+        step for n in per_item for step in range(n)
+    ]
+
+
+def test_queue_lane_heartbeat_counts_emitted_points():
+    log = []
+    sender = BusSender(1, queue=_QueueDouble(log))
+    for step in range(3):
+        sender.record_point("s", step, {})
+    sender.heartbeat()
+    assert [m[0] for m in log] == ["heartbeat"]
+    assert log[0][2]["points"] == 3
+    sender.bye()
+    assert [m[0] for m in log] == ["heartbeat", "batch", "bye"]
+
+
+def test_record_batch_writes_the_per_record_bytes(tmp_path):
+    records = [("point", "s", 0, {"max": 1.0}),
+               ("monitor", {"monitor": "recovered", "series": "s", "step": 0}),
+               ("point", "s", 1, {"max": 2.0})]
+    one = RunRecorder(str(tmp_path / "one"))
+    for kind, *body in records:
+        if kind == "point":
+            one.record_point(*body, worker=1)
+        else:
+            one.record_monitor(*body, worker=1)
+    one.record_point("s", 5, {"max": 3.0})
+    one.finish()
+    batch = RunRecorder(str(tmp_path / "batch"))
+    batch.record_batch(1, records)
+    batch.record_point("s", 5, {"max": 3.0})
+    batch.finish()
+    for name in ("timeseries.jsonl", "events.jsonl"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "batch" / name).read_bytes())
+    metas = [load_run(str(tmp_path / d)).meta for d in ("one", "batch")]
+    assert [(m["timeseries"], m["monitor_events"]) for m in metas] == [
+        ({"s": 1, "s#w1": 2}, 1)
+    ] * 2
+
+
+def test_bus_finish_handles_everything_queued_before_the_sentinel():
+    rec = _Recorder()
+    bus = TelemetryBus(rec, mp.get_context(), heartbeat_s=0.0).start()
+    sender = BusSender(0, queue=bus.queue)
+    n = 3 * BATCH_RECORDS + 7
+    for step in range(n):
+        sender.record_point("s", step, {})
+    sender.record_monitor({"monitor": "recovered", "series": "s", "step": n})
+    sender.flush()
+    # No bye is awaited, so the sentinel goes straight in behind the
+    # batches; the drain thread must still handle all of them.
+    assert bus.finish(set()) == set()
+    assert not bus._thread.is_alive()
+    assert [p[1] for p in rec.points] == list(range(n))
+    assert rec.points[0][3] == 0
+    assert rec.monitors == [
+        ({"monitor": "recovered", "series": "s", "step": n}, 0)
+    ]
+    assert bus.points_received == n
+
+
+def test_bus_finish_waits_for_byes_and_reports_silent_lanes():
+    rec = _Recorder()
+    bus = TelemetryBus(rec, mp.get_context(), heartbeat_s=0.0).start()
+    late = threading.Timer(0.05, BusSender(0, queue=bus.queue).bye)
+    late.start()
+    assert bus.finish({0}, grace_s=5.0) == set()
+    assert rec.byes == [0]
+    late.join(timeout=2.0)
+    assert not late.is_alive()
+    bus = TelemetryBus(rec, mp.get_context(), heartbeat_s=0.0).start()
+    BusSender(1, queue=bus.queue).bye()
+    assert bus.finish({0, 1}, grace_s=0.05) == {0}
+    assert not bus._thread.is_alive()
 
 
 def test_heartbeat_thread_beats_and_stops():
@@ -372,6 +530,7 @@ def test_run_campaign_rejects_bad_batch(tmp_path, kw, why):
 _BAD_CAMPAIGN_ARGS = [
     (dict(n=0), ["--n", "0"], "n must be >= 1, got 0"),
     (dict(n=1, m=0), ["--n", "1", "--m", "0"], "m must be >= 1, got 0"),
+    (dict(d=0), ["--d", "0"], "d must be >= 1, got 0"),
     (dict(replicas=0), ["--replicas", "0"], "replicas must be >= 1, got 0"),
     (dict(replicas=-3), ["--replicas", "-3"], "replicas must be >= 1, got -3"),
     (dict(processes=0), ["--processes", "0"], "processes must be >= 1, got 0"),

@@ -95,6 +95,22 @@ class TestExpHistogram:
         assert sum(sparse.values()) == vals.size
         assert all(h.counts[k] == c for k, c in sparse.items())
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_update_is_bit_length_around_powers_of_two(self, dtype):
+        # floor(log2(float(v))) + 1 put 2^k - 1 in bucket k + 1 from
+        # k = 49 on; frexp's exponent is exact below 2^53.
+        top = np.iinfo(dtype).max
+        vals = [0, 0] + [
+            v for k in range(1, 53) for v in (2**k - 1, 2**k, 2**k + 1)
+            if v <= top
+        ]
+        h = ExpHistogram()
+        h.update(np.array(vals, dtype=dtype))
+        expect = np.bincount(
+            [v.bit_length() for v in vals], minlength=ExpHistogram.NBUCKETS
+        )
+        assert np.array_equal(h.counts, expect)
+
     def test_bucket_bounds_partition_the_ints(self):
         assert ExpHistogram.bucket_bounds(0) == (0, 0)
         prev_hi = 0
