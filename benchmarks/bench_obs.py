@@ -196,13 +196,15 @@ def _bus_overhead_item(item, seed_seq):
 
 
 def test_disabled_overhead_ratio(capsys):
-    """Measure run() (guarded) against a raw step() loop, obs disabled.
+    """Measure run() (guarded) against the raw stepping path, obs disabled.
 
     Prints the ratio quoted in docs/PERFORMANCE.md; the assertion is a
     generous backstop against accidentally putting work on the
     disabled path (the guard itself is one boolean per run() call).
-    Both sides draw from a run loop's stream: outside a loop ``step()``
-    draws per call from the Generator, which would price the draw path.
+    The raw side makes the one call ``run()`` makes, ``_advance(CHUNK,
+    -1)``, inside the same draw stream, so the ratio prices the guard:
+    a loop of ``step()`` calls would price a per-phase call that no run
+    loop makes.
     """
     proc = _make_proc(3)
     proc.run(CHUNK)  # warmup
@@ -210,9 +212,7 @@ def test_disabled_overhead_ratio(capsys):
     def raw():
         gen = proc._open_stream(CHUNK)
         try:
-            step = proc.step
-            for _ in range(CHUNK):
-                step()
+            proc._advance(CHUNK, -1)
         finally:
             proc._close_stream(gen)
 
@@ -222,7 +222,7 @@ def test_disabled_overhead_ratio(capsys):
     ratio, t_raw, t_guarded = paired_overhead_ratio(raw, guarded)
     with capsys.disabled():
         print(
-            f"\nobs disabled overhead: raw step loop {1e6 * t_raw / CHUNK:.2f} us/phase, "
+            f"\nobs disabled overhead: raw _advance {1e6 * t_raw / CHUNK:.2f} us/phase, "
             f"guarded run() {1e6 * t_guarded / CHUNK:.2f} us/phase, "
             f"ratio {ratio:.4f}"
         )

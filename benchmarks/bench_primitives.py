@@ -2,8 +2,10 @@
 
 Per the optimization workflow (profile before optimizing), these pin
 the per-step costs that dominate every experiment: the Fact 3.2 update,
-the Fenwick 𝒜(v) draw, one simulator phase of each process, and an
-ABKU insertion draw.  Regressions here slow every table above.
+the Fenwick 𝒜(v) draw, the scenario A and B phases (timed through
+``run()``, a thousand phases per timed call, since that is the loop
+every simulator runs), and an ABKU insertion draw.  Regressions here
+slow every table above.
 
 ``test_scalar_phase_independent_of_n`` is a plain pytest gate, not a
 bench: 2,000 scalar phases at n = 2¹⁷ must cost under twice as much as
@@ -61,14 +63,20 @@ def test_bench_abku2_select(benchmark):
     benchmark(lambda: rule.select(v, rng))
 
 
+#: Phases per timed ``run()`` call of the two phase benches.
+PHASES = 1000
+
+
 def test_bench_scenario_a_phase(benchmark):
+    """PHASES scenario-A phases through ``run()`` (wall_s is per call)."""
     proc = ScenarioAProcess(ABKURule(2), LoadVector.random(N, N, 3), seed=3)
-    benchmark(proc.step)
+    benchmark(proc.run, PHASES)
 
 
 def test_bench_scenario_b_phase(benchmark):
+    """PHASES scenario-B phases through ``run()`` (wall_s is per call)."""
     proc = ScenarioBProcess(ABKURule(2), LoadVector.random(N, N, 4), seed=4)
-    benchmark(proc.step)
+    benchmark(proc.run, PHASES)
 
 
 def test_bench_edge_orientation_step(benchmark):

@@ -71,7 +71,7 @@ def main() -> None:
         stat_load = proc.max_load
         # Crash recovery.
         crash = ScenarioAProcess(rule, LoadVector.all_in_one(M, N), seed=SEED + 1)
-        steps = crash.run_until(lambda v: v[0] <= stat_load + 1, budget * 4)
+        steps = crash.run_until(stat_load + 1, budget * 4)
         t.add_row([name, probes, stat_load, steps])
     print(t.render())
     print()

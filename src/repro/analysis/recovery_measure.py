@@ -91,9 +91,7 @@ def _scalar_recovery_replica(
     proc = _make_scalar_process(
         rule, scenario, start.copy(), np.random.default_rng(seed_seq)
     )
-    return int(
-        proc.run_until(lambda v: int(v[0]) <= target_max_load, max_steps)
-    )
+    return int(proc.run_until(target_max_load, max_steps))
 
 
 def _vectorized_recovery_shard(
@@ -158,9 +156,7 @@ def _scalar_serial(
             steps_done = int(resume_state["steps_done"])
         while True:
             chunk = min(chunk_size, max_steps - steps_done)
-            hit = proc.run_until(
-                lambda v: int(v[0]) <= target_max_load, chunk
-            )
+            hit = proc.run_until(target_max_load, chunk)
             if hit >= 0:
                 times[k] = steps_done + hit
                 break

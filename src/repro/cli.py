@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fuzz",
         help="differential engine fuzzing: batched kernels vs a row-by-row "
-        "replay (bitwise), scalar-vs-vectorized KS, replay (tests/fuzzkit "
-        "harness)",
+        "replay and scalar run loops vs a one-row replay (bitwise), "
+        "scalar-vs-vectorized KS, replay (tests/fuzzkit harness)",
     )
     p.add_argument("--budget", type=int, default=50, metavar="N",
                    help="sampled configurations in grid mode (default 50)")
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replay one configuration (the JSON a failure "
                    "report prints) instead of sampling a grid")
     p.add_argument("--check",
-                   choices=("all", "batched", "artifact", "replay", "ks"),
+                   choices=("all", "batched", "artifact", "replay", "scalar", "ks"),
                    default="all",
                    help="restrict to one differential check (default all)")
     p.add_argument("--json", action="store_true",

@@ -56,7 +56,7 @@ def run(scale: str = "smoke", seed: int = 0) -> ExperimentResult:
                 rule, LoadVector.all_in_one(m, n),
                 scenario="a", p_relocate=p_rel, seed=rng,
             )
-            hit = proc.run_until(lambda v: int(v[0]) <= target, 10_000_000)
+            hit = proc.run_until(target, 10_000_000)
             if hit < 0:
                 raise RuntimeError(f"recovery cap hit at p={p_rel}")
             times.append(hit)

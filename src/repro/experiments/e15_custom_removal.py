@@ -75,7 +75,7 @@ def run(scale: str = "smoke", seed: int = 0) -> ExperimentResult:
         recov = []
         for rng in spawn_generators(seed + 1000 + gi, p["replicas"]):
             proc = CustomRemovalProcess(rule, w, LoadVector.all_in_one(m, n), seed=rng)
-            hit = proc.run_until(lambda v: int(v[0]) <= 4, 10_000_000)
+            hit = proc.run_until(4, 10_000_000)
             if hit < 0:
                 raise RuntimeError(f"recovery cap hit at gamma={gamma}")
             recov.append(hit)

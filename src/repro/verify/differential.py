@@ -23,6 +23,11 @@ differential checks over each:
   hitting times, ``timeseries.jsonl`` / ``events.jsonl`` bytes, and
   the (step, payload-digest) sequence offered to a ``save_every``
   checkpointer must all agree;
+* ``scalar`` — the scalar engine's ``run``, ``run_until`` and
+  ``trajectory`` vs :func:`replay_scalar`, a replay of the engine's
+  documented draw order on one plain int64 row and a plain Generator
+  (closed sequential specs): loads, step counter, relocation counter,
+  RNG state, hitting time and recorded statistic must match exactly;
 * ``ks`` — scalar vs vectorized end-state max-load distributions
   (two-sample KS), the engines-disagree-in-law alarm.  Statistical, so
   a failure is only reported when two independent sample pairs both
@@ -49,9 +54,12 @@ __all__ = [
     "vectorizable_spec_names",
     "build_processes",
     "replay_rows",
+    "replay_scalar",
     "check_batched",
     "check_replay",
     "check_artifact",
+    "diff_scalar",
+    "check_scalar",
     "check_ks",
     "run_check",
     "run_grid",
@@ -253,6 +261,62 @@ def replay_rows(spec, start, replicas: int, seed: int, steps: int) -> dict:
             "relocations": relocations}
 
 
+def replay_scalar(spec, start, seed, steps: int) -> dict:
+    """The scalar engine's phases replayed on one plain int64 row.
+
+    The bitwise oracle of :class:`~repro.engine.scalar.SpecProcess`
+    (closed sequential specs), sharing none of its loop: a plain
+    ``np.random.default_rng(seed)`` Generator and, per phase, the
+    engine's documented draws in order —
+
+    * removal: ``integers(0, m)`` (ball removal, the ball's bin found on
+      the row's cumulative sum) or ``integers(0, s)`` over the s
+      nonempty bins (bin removal) when ``p_relocate == 0``; otherwise
+      one ``random()``, at ball ⌊u·m⌋ or bin ⌊u·s⌋; any other law at
+      ``law.quantile(row, random())``;
+    * placement: ``rule.select(row, rng)``;
+    * with ``p_relocate > 0``: the coin ``random() < p``, then
+      ``rule.select(row, rng)`` for the target, moved to only when the
+      fullest bin's load exceeds the target's by at least 2.
+
+    Every edit goes through :func:`~repro.balls.load_vector.ominus_index`
+    / :func:`~repro.balls.load_vector.oplus_index`; no tail counts,
+    Fenwick tree or draw stream.  Returns the keys of
+    :func:`_fleet_state` (``V`` is the row as a 1 × n matrix) plus
+    ``max_loads``, the max load before the first phase and after each.
+    """
+    from repro.balls.load_vector import ominus_index, oplus_index
+    from repro.engine.spec import BallRemoval, BinRemoval
+
+    if spec.kind != "closed" or spec.step.synchronous:
+        raise ValueError(f"replay_scalar replays closed sequential specs, not {spec.name!r}")
+    rng = np.random.default_rng(seed)
+    row = start.loads.astype(np.int64)
+    m, law, p, rule = int(row.sum()), spec.removal, spec.p_relocate, spec.rule
+    relocations = 0
+    max_loads = [int(row[0])]
+    for _ in range(steps):
+        if isinstance(law, BallRemoval):
+            ball = min(int(rng.random() * m), m - 1) if p > 0 else int(rng.integers(0, m))
+            i = int(np.searchsorted(np.cumsum(row), ball, side="right"))
+        elif isinstance(law, BinRemoval):
+            s = int((row > 0).sum())
+            i = min(int(rng.random() * s), s - 1) if p > 0 else int(rng.integers(0, s))
+        else:
+            i = law.quantile(row, float(rng.random()))
+        row[ominus_index(row, i)] -= 1
+        row[oplus_index(row, rule.select(row, rng))] += 1
+        if p > 0 and rng.random() < p:
+            dst = rule.select(row, rng)
+            if row[0] - row[dst] >= 2:
+                row[ominus_index(row, 0)] -= 1
+                row[oplus_index(row, dst)] += 1
+                relocations += 1
+        max_loads.append(int(row[0]))
+    return {"V": row[None, :], "rng": rng.bit_generator.state, "t": steps,
+            "relocations": relocations, "max_loads": max_loads}
+
+
 def _diff_states(a: dict, b: dict, label_a: str, label_b: str) -> str | None:
     if not np.array_equal(a["V"], b["V"]):
         row = int(np.argwhere((a["V"] != b["V"]).any(axis=1))[0][0])
@@ -408,6 +472,89 @@ def check_artifact(cfg: DiffConfig) -> str | None:
     return None
 
 
+#: Largest ball count the ``scalar`` check replays: the scalar engine's
+#: tail counts take O(max load) memory, and the all-in-one start puts
+#: every ball in one bin.
+_SCALAR_MAX_BALLS = 1 << 16
+
+
+def _scalar_state(p) -> dict:
+    """The comparable state of one scalar simulator (keys of :func:`_fleet_state`)."""
+    return {"V": p.loads[None, :], "rng": p._rng.bit_generator.state,
+            "t": p.t, "relocations": p.relocations}
+
+
+def diff_scalar(spec, start, seed, steps: int, probe_every: int) -> str | None:
+    """The scalar engine's run loops vs :func:`replay_scalar`, bitwise.
+
+    Three fresh simulators of the closed sequential *spec* at *seed*:
+    ``run(steps)``; ``run_until`` at the lowest max load the replay
+    reaches in its first half (so it hits at or before ``steps // 2``,
+    at 0 when the start is already there), under probes every
+    *probe_every* phases when that is positive, so its segments are cut
+    at probe boundaries; and ``trajectory(steps, every=probe_every or
+    1)``.  Each must match the replay's loads, step counter, relocation
+    counter and RNG state at the phase it stops, and the hitting time
+    or the recorded max loads.  Returns None or the first difference.
+    """
+    import tempfile
+
+    from repro.engine.scalar import ScalarEngine
+    from repro.obs.recorder import observe_run
+
+    ref = replay_scalar(spec, start, seed, steps)
+    maxes = ref.pop("max_loads")
+
+    def make():
+        return ScalarEngine.make(spec, start, seed=seed)
+
+    proc = make()
+    proc.run(steps)
+    why = _diff_states(ref, _scalar_state(proc), "replay_scalar", "run")
+    if why:
+        return why
+    target = min(maxes[: steps // 2 + 1])
+    want = maxes.index(target)
+    proc = make()
+    if probe_every > 0:
+        with tempfile.TemporaryDirectory() as td:
+            with observe_run(td, trace=False, probe_every=probe_every):
+                hit = proc.run_until(target, steps)
+    else:
+        hit = proc.run_until(target, steps)
+    if hit != want:
+        return f"run_until({target}) hit at {hit}, replay_scalar at {want}"
+    at_hit = replay_scalar(spec, start, seed, want)
+    at_hit.pop("max_loads")
+    why = _diff_states(at_hit, _scalar_state(proc), "replay_scalar", "run_until")
+    if why:
+        return why
+    every = probe_every or 1
+    proc = make()
+    got = proc.trajectory(steps, every=every).tolist()
+    if got != [float(x) for x in maxes[::every]]:
+        return f"trajectory(every={every}) records {got}, replay_scalar {maxes[::every]}"
+    return _diff_states(ref, _scalar_state(proc), "replay_scalar", "trajectory")
+
+
+def check_scalar(cfg: DiffConfig) -> str | None:
+    """:func:`diff_scalar` on *cfg* (closed sequential specs; others pass).
+
+    From *cfg*'s crash state, and from the balanced state, where the
+    max load can climb past the start's, so the tail counts must grow.
+    """
+    from repro.balls.load_vector import LoadVector
+
+    spec, crash = _spec_and_start(cfg)
+    if spec.kind != "closed" or spec.step.synchronous or crash.m > _SCALAR_MAX_BALLS:
+        return None
+    for start in (crash, LoadVector.balanced(crash.m, crash.n)):
+        why = diff_scalar(spec, start, cfg.seed, cfg.steps, cfg.probe_every)
+        if why:
+            return f"from {start.loads.tolist()}: {why}"
+    return None
+
+
 def check_ks(cfg: DiffConfig) -> str | None:
     """Scalar vs vectorized end-state max loads: two-sample KS.
 
@@ -448,6 +595,7 @@ CHECKS = {
     "batched": check_batched,
     "replay": check_replay,
     "artifact": check_artifact,
+    "scalar": check_scalar,
     "ks": check_ks,
 }
 
@@ -455,6 +603,7 @@ CHECKS = {
 _GRID_PLAN = (
     ("batched", 1),  # every config
     ("replay", 1),
+    ("scalar", 1),
     ("artifact", 3),  # every 3rd config
     ("ks", 8),  # every 8th config (statistical, scalar-loop heavy)
 )

@@ -101,7 +101,7 @@ class TestHittingTimes:
         sims = []
         for s in range(600):
             proc = ScenarioAProcess(abku2, LoadVector.all_in_one(m, n), seed=s)
-            sims.append(proc.run_until(lambda v: v[0] <= L, 10_000))
+            sims.append(proc.run_until(L, 10_000))
         assert abs(np.mean(sims) - exact) < 0.35
 
     def test_scenario_b_hitting_larger(self, abku2):

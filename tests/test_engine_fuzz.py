@@ -7,7 +7,8 @@ drawn — both hypothesis-driven and from the deterministic CI seed grid
 — and every draw must satisfy the differential checks of
 :mod:`repro.verify.differential`: bitwise ``run_batched`` vs row-by-row
 replay fleet identity (for synchronous specs too, one ball per
-uniform), bitwise snapshot replay across different batch lengths,
+uniform), bitwise scalar run loops vs a one-row replay of their draw
+order, bitwise snapshot replay across different batch lengths,
 artifact-for-artifact ``recovery_times`` equality across segment
 lengths (times, telemetry bytes, checkpoint offers), and
 scalar-vs-vectorized distributional parity.  A failure shrinks and prints a one-line
@@ -60,6 +61,13 @@ def test_batched_bitwise_identity(cfg):
 def test_snapshot_replay_across_batch_lengths(cfg):
     """A mid-run state_dict replays bitwise under a different batch."""
     fuzzkit.assert_passes(cfg, "replay")
+
+
+@FAST
+@given(cfg=fuzzkit.config_strategy())
+def test_scalar_loops_match_the_one_row_replay(cfg):
+    """Scalar run / run_until / trajectory land on replay_scalar's state."""
+    fuzzkit.assert_passes(cfg, "scalar")
 
 
 @SLOWER

@@ -154,8 +154,8 @@ class TestCustomRemoval:
         fast = CustomRemovalProcess(
             abku2, weight_power(4.0), LoadVector.all_in_one(m, n), seed=1
         )
-        t_slow = slow.run_until(lambda v: v[0] <= 4, 10**6)
-        t_fast = fast.run_until(lambda v: v[0] <= 4, 10**6)
+        t_slow = slow.run_until(4, 10**6)
+        t_fast = fast.run_until(4, 10**6)
         assert 0 < t_fast <= t_slow
 
     def test_coalescence_custom(self, abku2):

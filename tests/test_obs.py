@@ -158,7 +158,7 @@ class TestDisabledNoOp:
             proc = ScenarioAProcess(ABKURule(2), LoadVector.all_in_one(16, 16), seed=0)
             proc.run(50)
             proc.trajectory(10)
-            proc.run_until(lambda v: v[0] <= 2, 100)
+            proc.run_until(2, 100)
             assert len(reg) == 0
             assert reg.snapshot()["counters"] == {}
 

@@ -66,11 +66,11 @@ class TestCommonBehaviour:
 
     def test_run_until_immediate(self, process_cls, abku2):
         p = process_cls(abku2, LoadVector.balanced(8, 4), seed=0)
-        assert p.run_until(lambda v: v[0] <= 8, max_steps=10) == 0
+        assert p.run_until(8, max_steps=10) == 0
 
     def test_run_until_cap(self, process_cls, abku2):
         p = process_cls(abku2, LoadVector.all_in_one(30, 5), seed=0)
-        assert p.run_until(lambda v: v[0] == -1, max_steps=5) == -1
+        assert p.run_until(-1, max_steps=5) == -1
         assert p.t == 5
 
     def test_repr(self, process_cls, abku2):
@@ -115,8 +115,8 @@ class TestScenarioBSpecifics:
         m = n = 32
         pa = ScenarioAProcess(abku2, LoadVector.all_in_one(m, n), seed=8)
         pb = ScenarioBProcess(abku2, LoadVector.all_in_one(m, n), seed=8)
-        ta = pa.run_until(lambda v: v[0] <= 4, 10**6)
-        tb = pb.run_until(lambda v: v[0] <= 4, 10**6)
+        ta = pa.run_until(4, 10**6)
+        tb = pb.run_until(4, 10**6)
         assert 0 < ta < tb
 
     def test_stat_functions(self):

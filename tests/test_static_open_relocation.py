@@ -197,8 +197,8 @@ class TestRelocation:
         fast = RelocationProcess(
             abku2, LoadVector.all_in_one(m, n), p_relocate=1.0, seed=3
         )
-        t_base = base.run_until(lambda v: v[0] <= 4, 10**6)
-        t_fast = fast.run_until(lambda v: v[0] <= 4, 10**6)
+        t_base = base.run_until(4, 10**6)
+        t_fast = fast.run_until(4, 10**6)
         assert 0 < t_fast < t_base
 
     def test_scenario_b_mode(self, abku2):

@@ -86,7 +86,7 @@ def _scalar_recovery_with_kill(k, seed_seq, tombstone=None, victim=None):
     if k == victim and tombstone and not os.path.exists(tombstone):
         open(tombstone, "w").close()
         os.kill(os.getpid(), signal.SIGKILL)
-    return int(proc.run_until(lambda v: int(v[0]) <= 7, 2000))
+    return int(proc.run_until(7, 2000))
 
 
 @pytest.fixture(autouse=True)
