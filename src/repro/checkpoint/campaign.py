@@ -184,11 +184,14 @@ def exact_recovery_times(
     every = obs.probe_interval() if obs.enabled() else 0
     probe = None
     if every > 0:
-        from repro.coupling.recovery import theorem1_bound
-        from repro.obs.probes import DistributionProbe, tv_recovery_monitor
+        from repro.obs.probes import (
+            DistributionProbe,
+            recovery_bound,
+            tv_recovery_monitor,
+        )
 
         series = f"exact/{spec.name}"
-        bound = theorem1_bound(m, eps) if m >= 2 else None
+        bound = recovery_bound(spec, n, m, eps)
         probe = DistributionProbe(
             series, pi,
             monitors=(tv_recovery_monitor(series, eps, bound_step=bound),),

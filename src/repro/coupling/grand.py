@@ -95,26 +95,18 @@ def coalescence_time_spec(
     # the path-coupling argument contracts) and the pair's max load.
     # With probes on, additionally stream decimated timeseries points
     # and a one-shot coalescence monitor with the matching paper bound
-    # (Theorem 1 for ball removal, Claim 5.3 for bin removal).
+    # (recovery_bound: Theorem 1 for ball removal, Claim 5.3 for bin
+    # removal).
     observing = obs.enabled()
     every = obs.probe_interval() if observing else 0
     monitor = None
     series = f"coupling/{spec.name}"
     if every > 0:
-        from repro.engine.spec import BallRemoval, BinRemoval
-        from repro.obs.probes import coalescence_monitor
+        from repro.obs.probes import coalescence_monitor, recovery_bound
 
         m = int(v.sum())
-        bound = None
-        if spec.kind == "closed" and m >= 2:
-            from repro.coupling.recovery import claim53_bound, theorem1_bound
-
-            if isinstance(law, BallRemoval):
-                bound = theorem1_bound(m)
-            elif isinstance(law, BinRemoval):
-                bound = claim53_bound(n, m)
         monitor = coalescence_monitor(
-            series, bound_step=bound, extra={"n": n, "m": m}
+            series, bound_step=recovery_bound(spec, n, m), extra={"n": n, "m": m}
         )
     result = -1
     for step in range(1, max_steps + 1):

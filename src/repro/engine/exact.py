@@ -310,14 +310,14 @@ class ExactEngine:
         if obs.enabled():
             every = obs.probe_interval()
             if every > 0:
-                from repro.obs.probes import DistributionProbe, tv_recovery_monitor
+                from repro.obs.probes import (
+                    DistributionProbe,
+                    recovery_bound,
+                    tv_recovery_monitor,
+                )
 
                 series = f"exact/{spec.name}"
-                bound = None
-                if spec.kind == "closed" and int(v.sum()) >= 2:
-                    from repro.coupling.recovery import theorem1_bound
-
-                    bound = theorem1_bound(int(v.sum()), eps)
+                bound = recovery_bound(spec, v.shape[0], int(v.sum()), eps)
                 probe = DistributionProbe(
                     series, pi,
                     monitors=(tv_recovery_monitor(series, eps, bound_step=bound),),

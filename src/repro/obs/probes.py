@@ -19,8 +19,8 @@ against paper-derived envelopes.  Each fires at most once, emitting a
 observed crossing step, the paper's bound step, and whether the
 crossing landed within the bound:
 
-* max-load recovery vs Theorem 1's τ(ε) = ⌈m·ln(m/ε)⌉
-  (:func:`max_load_recovery_monitor`);
+* max-load recovery vs the spec's paper envelope, picked by
+  :func:`recovery_bound` (:func:`max_load_recovery_monitor`);
 * RBB self-stabilization to the O(log n) max-load band vs the
   linear-rounds envelope of Becchetti et al.
   (:func:`rbb_recovery_monitor`, driven by the synchronous engines);
@@ -48,6 +48,7 @@ __all__ = [
     "max_load_recovery_monitor",
     "rbb_recovery_monitor",
     "rbb_recovery_bound",
+    "recovery_bound",
     "tv_recovery_monitor",
     "coalescence_monitor",
     "recovery_target",
@@ -156,23 +157,44 @@ class ThresholdMonitor:
             self.extra = dict(state.get("extra") or {})
 
 
+def recovery_bound(spec, n: int, m: int, eps: float = 0.25) -> int | None:
+    """The paper's recovery envelope for *spec* at n bins and m balls.
+
+    By the spec's removal law, as the grand couplings pick it: ball
+    removal (scenario A) → Theorem 1's τ(ε) = ⌈m·ln(m/ε)⌉; bin removal
+    (scenario B) → Claim 5.3's O(n·m²·ln ε⁻¹) with the lemma's constants
+    (both for closed specs with m ≥ 2, the theorems' domain);
+    synchronous (RBB) specs → :func:`rbb_recovery_bound`.  Any other
+    spec (open systems, weighted removal laws) has none: ``None``.
+    """
+    if spec.step.synchronous:
+        return rbb_recovery_bound(n, m) if n >= 1 and m >= 1 else None
+    if spec.kind != "closed" or m < 2:
+        return None
+    from repro.coupling.recovery import claim53_bound, theorem1_bound
+    from repro.engine.spec import BallRemoval, BinRemoval
+
+    if isinstance(spec.removal, BallRemoval):
+        return theorem1_bound(m, eps)
+    if isinstance(spec.removal, BinRemoval):
+        return claim53_bound(n, m, eps)
+    return None
+
+
 def max_load_recovery_monitor(
-    series: str, n: int, m: int, *, eps: float = 0.25
+    series: str, spec, n: int, m: int, *, eps: float = 0.25
 ) -> ThresholdMonitor:
-    """Max-load recovery vs the Theorem 1 envelope.
+    """Max-load recovery vs *spec*'s paper envelope.
 
     Fires when the observed max load first reaches
-    :func:`recovery_target`; the bound step is Theorem 1's
-    τ(ε) = ⌈m·ln(m/ε)⌉ when m ≥ 2 (the theorem's domain), else absent.
+    :func:`recovery_target`; the bound step is
+    :func:`recovery_bound` (absent where the spec has none).
     """
-    from repro.coupling.recovery import theorem1_bound
-
-    bound = theorem1_bound(m, eps) if m >= 2 else None
     return ThresholdMonitor(
         "max_load_recovery",
         series,
         recovery_target(n, m),
-        bound_step=bound,
+        bound_step=recovery_bound(spec, n, m, eps),
         extra={"n": int(n), "m": int(m), "eps": float(eps)},
     )
 

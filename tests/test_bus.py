@@ -464,6 +464,28 @@ def test_run_campaign_produces_live_artifact(tmp_path):
     )
 
 
+def test_cli_scenario_b_campaign_is_judged_against_claim53(tmp_path, capsys):
+    """Pooled scenario-B monitors carry Claim 5.3's envelope, not Theorem 1's."""
+    from repro.cli import main
+    from repro.coupling.recovery import claim53_bound
+
+    out = str(tmp_path / "b")
+    assert main([
+        "campaign", "--scenario", "b", "--n", "32", "--replicas", "8",
+        "--processes", "2", "--probe-every", "1", "--seed", "7", "--out", out,
+    ]) == 0
+    events = load_run(out).monitor_events
+    assert len(events) == 8
+    assert {(e["bound_step"], e["within_bound"]) for e in events} == {
+        (claim53_bound(32, 32), True)
+    }
+    capsys.readouterr()
+    assert main(["obs", "summarize", out]) == 0
+    report = capsys.readouterr().out
+    assert report.count("within bound") == 8
+    assert "OUTSIDE bound" not in report
+
+
 def test_run_campaign_rejects_bad_scenario(tmp_path):
     with pytest.raises(ValueError):
         run_campaign(scenario="c", out=str(tmp_path / "x"))

@@ -19,6 +19,8 @@ from repro.obs.probes import (
     ChainProbe,
     ThresholdMonitor,
     max_load_recovery_monitor,
+    rbb_recovery_bound,
+    recovery_bound,
     recovery_target,
 )
 from repro.obs.recorder import RunRecorder, load_run
@@ -183,8 +185,36 @@ class TestRecoveryTargets:
             recovery_target(0, 5)
 
     def test_theorem1_bound_attached_only_for_m_ge_2(self):
-        assert max_load_recovery_monitor("s", 4, 1).bound_step is None
-        assert max_load_recovery_monitor("s", 4, 10).bound_step is not None
+        spec = scenario_a_spec(ABKURule(2))
+        assert max_load_recovery_monitor("s", spec, 4, 1).bound_step is None
+        assert max_load_recovery_monitor("s", spec, 4, 10).bound_step is not None
+
+    def test_recovery_bound_follows_the_removal_law(self):
+        from repro.coupling.recovery import claim53_bound, theorem1_bound
+        from repro.engine.spec import (
+            custom_removal_spec,
+            open_spec,
+            rbb_twochoice_spec,
+            relocation_spec,
+            scenario_b_spec,
+        )
+        from repro.balls.custom_removal import weight_power
+
+        abku = ABKURule(2)
+        cases = [
+            (scenario_a_spec(abku), theorem1_bound(32)),
+            (relocation_spec(abku, scenario="a"), theorem1_bound(32)),
+            (scenario_b_spec(abku), claim53_bound(32, 32)),
+            (relocation_spec(abku, scenario="b"), claim53_bound(32, 32)),
+            (rbb_twochoice_spec(), rbb_recovery_bound(32, 32)),
+            (open_spec(abku, removal="ball"), None),
+            (custom_removal_spec(abku, weight_power(2.0)), None),
+        ]
+        for spec, want in cases:
+            assert recovery_bound(spec, 32, 32) == want, spec.name
+        assert recovery_bound(scenario_b_spec(abku), 32, 32) == 167_186
+        assert recovery_bound(scenario_b_spec(abku), 4, 1) is None
+        assert recovery_bound(scenario_a_spec(abku), 8, 64, 0.1) == theorem1_bound(64, 0.1)
 
 
 class TestExactEvolve:
